@@ -132,6 +132,9 @@ def _read_text(source) -> tuple[str, str]:
     return Path(source).read_text(), str(source)
 
 
+_MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64
+
+
 def load_counts(source) -> CountsTable:
     """Parse a counts file (see save_counts for the format).
 
@@ -216,6 +219,9 @@ def load_counts(source) -> CountsTable:
             continue
         if count < 0:
             problems.append(f"line {ln}: negative count {count} for outcome {outcome}")
+            continue
+        if count > _MAX_COUNT:
+            problems.append(f"line {ln}: count {count} for outcome {outcome} exceeds {_MAX_COUNT}")
             continue
         rows[idx] = count
 
@@ -367,6 +373,9 @@ class FitPoint:
         if self.strategy not in STRATEGY_BY_NAME:
             raise ValueError(f"strategy must be one of {sorted(STRATEGY_BY_NAME)}, got {self.strategy!r}")
         object.__setattr__(self, "basis", MeasurementBasis(self.basis).value)
+        for name in ("payoff", "error"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,26 @@ _theta_type = _range_type("theta", 0.0, np.pi, "0", "pi")
 _beta_type = _range_type("beta", -np.pi, np.pi, "-pi", "pi")
 
 
+def _tolerance_type(name: str, allow_zero: bool):
+    """Finite tolerance, >= 0 when allow_zero else > 0."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}")
+        if not np.isfinite(value) or value < 0.0 or (value == 0.0 and not allow_zero):
+            bound = ">= 0" if allow_zero else "> 0"
+            raise argparse.ArgumentTypeError(f"{name} must be finite and {bound}, got {text}")
+        return value
+
+    return parse
+
+
+_gain_tol_type = _tolerance_type("gain-tol", allow_zero=True)
+_refine_tol_type = _tolerance_type("refine-tol", allow_zero=False)
+
+
 def _positive_int(name: str, minimum: int = 1):
     def parse(text: str) -> int:
         try:
@@ -345,14 +365,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=_alpha_type, required=True)
     sp.add_argument("--f", type=_f_type, default=1.0)
     sp.add_argument("--grid", type=_positive_int("grid", 8), default=GRID)
-    sp.add_argument("--gain-tol", type=float, default=NE_GAIN_TOL)
-    sp.add_argument("--refine-tol", type=float, default=OPT_TOL)
+    sp.add_argument("--gain-tol", type=_gain_tol_type, default=NE_GAIN_TOL)
+    sp.add_argument("--refine-tol", type=_refine_tol_type, default=OPT_TOL)
 
     sp = add("find-po", _cmd_find_po, "Symmetric payoff maximizer at (alpha, f).")
     sp.add_argument("--alpha", type=_alpha_type, required=True)
     sp.add_argument("--f", type=_f_type, default=1.0)
     sp.add_argument("--grid", type=_positive_int("grid", 8), default=GRID)
-    sp.add_argument("--refine-tol", type=float, default=OPT_TOL)
+    sp.add_argument("--refine-tol", type=_refine_tol_type, default=OPT_TOL)
 
     sp = add("deviation", _cmd_deviation,
              "Best unilateral deviation gain against a symmetric point.")
@@ -361,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", type=_theta_type, required=True)
     sp.add_argument("--beta", type=_beta_type, required=True)
     sp.add_argument("--grid", type=_positive_int("grid", 2), default=GRID)
-    sp.add_argument("--refine-tol", type=float, default=OPT_TOL)
+    sp.add_argument("--refine-tol", type=_refine_tol_type, default=OPT_TOL)
 
     sp = add("fit", _cmd_fit, "Weighted least-squares fit of the noise fidelity f.")
     sp.add_argument("--points", help="fit-points CSV: alpha,strategy,basis,payoff,error")

@@ -4,20 +4,22 @@ A symmetric point (theta, beta) means all four players use
 M(theta, beta, -beta).  By the player-transitive swap symmetries of the
 input family all payoffs then coincide, and a point is a Nash equilibrium
 iff the last player (the designated deviator) cannot gain by a unilateral
-change, which is checked against her full (theta', beta1', beta2') space.
+change anywhere in her full (theta', beta1', beta2') space.
 
-The deviator's Z-basis payoff against fixed opponents depends only on the
-four pre-measurement amplitudes she can still mix, those of |1110>, |1111>,
-|0000>, |0001>; deviation scans evaluate that closed expression vectorized.
-Because her payoff depends on the two deviation phases only through their
-difference, stationarity of the phase-balanced pair (theta', beta') already
-implies stationarity in the full three-parameter space.
+Against fixed opponents her Z-basis payoff is c^2 p1 + s^2 p2 +
+sin(theta') Re(e^{i(beta2' - beta1')} zc), c, s = cos, sin(theta'/2), where
+the corner moments (p1, p2, zc) come from the amplitudes of |1110>, |1111>,
+|0000>, |0001> after the other three have played.  Certification is its
+exact maximum, a closed form.  Every observable is linear in the state and
+local unitaries leave white noise unchanged, so noise is the affine map
+f * pure + (1 - f) * uniform on pure-state results, and one batched kernel
+evaluates moments and payoff over whole (theta, beta) grids.
 
 Equilibrium search: stationary points of the deviation payoff are located on
 a (theta, beta) grid via central differences, polished, and each candidate
-is certified by an explicit deviation-gain maximization.  On this state
-family the payoff is exactly pi/2-periodic in beta and invariant under
-beta -> -beta, so scans cover beta in [-pi/4, pi/4) and report beta >= 0.
+is certified by deviation_gain <= gain_tol.  On this state family the payoff
+is exactly pi/2-periodic in beta and invariant under beta -> -beta, so scans
+cover beta in [-pi/4, pi/4) and report beta >= 0.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from scipy import optimize
 
 from .defaults import ALGEBRA_TOL, GRID, NE_GAIN_TOL, OPT_TOL
 from . import game
-from .qcore import StateEnsemble, apply_local
 from .states import family_state, noisy_state
-from .strategies import StrategyParams, strategy_unitary
+from .strategies import StrategyParams, _unitaries
 
 __all__ = [
     "SymmetricPoint",
@@ -83,27 +84,52 @@ def symmetric_payoff(alpha: float, f: float, point: SymmetricPoint) -> float:
     return float(np.mean(game.expected_payoffs(ens, symmetric_profile(point))))
 
 
-# ---------------------------------------------------------------------------
-# deviator payoff via corner amplitudes
+def _check_tolerances(gain_tol: float = 0.0, refine_tol: float = OPT_TOL) -> None:
+    if not 0.0 <= gain_tol < np.inf:
+        raise ValueError(f"gain_tol must be finite and >= 0, got {gain_tol}")
+    if not 0.0 < refine_tol < np.inf:
+        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
 
-def _corner_amplitudes(ens: StateEnsemble, u_others: np.ndarray):
-    """Per-member amplitudes of |1110>, |1111>, |0000>, |0001> after the
-    three non-deviating players have acted."""
-    ops = [u_others, u_others, u_others, np.eye(2, dtype=complex)]
-    g = np.empty(len(ens.states), dtype=complex)
-    h = np.empty_like(g)
-    p = np.empty_like(g)
-    q = np.empty_like(g)
-    for k, s in enumerate(ens.states):
-        phi = apply_local(s, ops).amplitudes
-        g[k], h[k], p[k], q[k] = phi[0b1110], phi[0b1111], phi[0b0000], phi[0b0001]
-    w = ens.weights
-    # collapse the mixture: the deviator payoff is a quadratic form in her
-    # matrix entries, so only these three weighted moments survive
-    p1 = float(w @ (np.abs(g) ** 2 + np.abs(q) ** 2))
-    p2 = float(w @ (np.abs(h) ** 2 + np.abs(p) ** 2))
-    zc = complex(w @ (1j * np.conj(g) * h - 1j * np.conj(p) * q))
-    return p1, p2, zc
+
+# ---------------------------------------------------------------------------
+# batched kernel: corner moments and symmetric payoff
+
+_UNIFORM_MOMENTS = (1.0 / 8.0, 1.0 / 8.0, 0.0)  # (p1, p2, zc) of the uniform mixture
+_UNIFORM_PAYOFF = 1.0 / 8.0
+_PLAYER_MEAN = game.MINORITY_TABLE.mean(axis=1)
+
+
+def _family_tensor(alpha: float) -> np.ndarray:
+    return family_state(alpha).amplitudes.reshape(2, 2, 2, 2)
+
+
+def _symmetric_kernel(psi: np.ndarray, f: float, thetas, betas):
+    """Corner moments (p1, p2, zc) and the symmetric payoff at every
+    (theta, beta), returned as ((p1, p2, zc), payoff).
+
+    psi is the pure family tensor, shape (2, 2, 2, 2); thetas and betas are
+    arrays of one shape, which every result takes.  The three non-deviating
+    players act one qubit at a time as batched 2x2 matrix products; the
+    fourth player's product then gives the symmetric payoff.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    u = _unitaries(thetas.ravel(), betas.ravel(), -betas.ravel())  # (G, 2, 2)
+    phi = u @ psi.reshape(2, 8)  # qubit 0
+    phi = u[:, None] @ phi.reshape(-1, 2, 2, 4)  # qubit 1
+    phi = (u[:, None] @ phi.reshape(-1, 4, 2, 2)).reshape(-1, 16)  # qubit 2
+    prob = np.abs(phi) ** 2
+    p1 = prob[:, 0b1110] + prob[:, 0b0001]
+    p2 = prob[:, 0b1111] + prob[:, 0b0000]
+    g, h, p, q = phi[:, 0b1110], phi[:, 0b1111], phi[:, 0b0000], phi[:, 0b0001]
+    zc = 1j * np.conj(g) * h - 1j * np.conj(p) * q
+    final = phi.reshape(-1, 8, 2) @ np.swapaxes(u, 1, 2)  # qubit 3
+    payoff = np.abs(final.reshape(-1, 16)) ** 2 @ _PLAYER_MEAN
+    moments = tuple(
+        (f * x + (1.0 - f) * c).reshape(thetas.shape)
+        for x, c in zip((p1, p2, zc), _UNIFORM_MOMENTS)
+    )
+    return moments, (f * payoff + (1.0 - f) * _UNIFORM_PAYOFF).reshape(thetas.shape)
 
 
 def _deviation_payoff(moments, theta, beta1, beta2):
@@ -112,16 +138,6 @@ def _deviation_payoff(moments, theta, beta1, beta2):
     c2 = np.cos(theta / 2.0) ** 2
     cross = np.sin(theta) * np.real(np.exp(1j * (beta2 - beta1)) * zc)
     return c2 * p1 + (1.0 - c2) * p2 + cross
-
-
-def _point_moments(alpha: float, f: float, point: SymmetricPoint):
-    ens = noisy_state(alpha, f)
-    u = strategy_unitary(StrategyParams.symmetric(point.theta, point.beta))
-    return _corner_amplitudes(ens, u)
-
-
-def _wrap_angle(x: float) -> float:
-    return float((x + np.pi) % (2.0 * np.pi) - np.pi)
 
 
 def deviation_gain(
@@ -133,52 +149,23 @@ def deviation_gain(
 ) -> tuple[float, StrategyParams]:
     """Best unilateral improvement available to the deviating player.
 
-    Scans a grid x grid x grid lattice over her full (theta', beta1', beta2')
-    space, polishes the leading cells with bounded Nelder-Mead, and returns
-    (gain, best deviation).  The symmetric point itself is always in the
-    candidate set, so the gain is never negative.
+    Exact best response: her payoff peaks at (p1 + p2)/2 + hypot((p1 - p2)/2,
+    |zc|), reached at theta' = atan2(2|zc|, p1 - p2), beta1' = arg(zc)/2,
+    beta2' = -arg(zc)/2.  Returns (gain, best deviation), the gain clamped at
+    0.  grid and refine_tol are validated but do not change the result; they
+    stay for existing callers and the deviation CLI header.
     """
+    alpha, f = game._check_alpha_f(alpha, f)
     if grid < 2:
         raise ValueError("grid resolution must be at least 2")
-    moments = _point_moments(alpha, f, point)
-    base = float(_deviation_payoff(moments, point.theta, point.beta, -point.beta))
-
-    thetas = np.linspace(0.0, np.pi, grid)
-    betas = np.linspace(-np.pi, np.pi, grid, endpoint=False)
-    vals = _deviation_payoff(
-        moments, thetas[:, None, None], betas[None, :, None], betas[None, None, :]
-    )
-
-    flat_order = np.argsort(vals, axis=None)[::-1]
-    seeds = [(point.theta, point.beta, -point.beta)]
-    taken: list[tuple[int, int, int]] = []
-    for flat in flat_order[: 4 * grid]:
-        idx = np.unravel_index(flat, vals.shape)
-        if all(max(abs(a - b) for a, b in zip(idx, t)) >= 3 for t in taken):
-            taken.append(tuple(int(i) for i in idx))
-            seeds.append((thetas[idx[0]], betas[idx[1]], betas[idx[2]]))
-        if len(taken) >= 4:
-            break
-
-    best = max(base, float(vals.max()))
-    best_dev = (point.theta, point.beta, -point.beta)
-    for seed in seeds:
-        res = optimize.minimize(
-            lambda x: -_deviation_payoff(moments, *x),
-            x0=np.array(seed),
-            method="Nelder-Mead",
-            bounds=[(0.0, np.pi), (-np.pi, np.pi), (-np.pi, np.pi)],
-            options={"xatol": 1e-9, "fatol": refine_tol * 1e-4, "maxiter": 2000},
-        )
-        if -res.fun > best:
-            best = float(-res.fun)
-            best_dev = tuple(res.x)
-    argmax = StrategyParams(
-        float(np.clip(best_dev[0], 0.0, np.pi)),
-        _wrap_angle(best_dev[1]),
-        _wrap_angle(best_dev[2]),
-    )
-    return best - base, argmax
+    _check_tolerances(refine_tol=refine_tol)
+    (p1, p2, zc), _ = _symmetric_kernel(_family_tensor(alpha), f, point.theta, point.beta)
+    p1, p2, zc = float(p1), float(p2), complex(zc)
+    base = float(_deviation_payoff((p1, p2, zc), point.theta, point.beta, -point.beta))
+    best = (p1 + p2) / 2.0 + float(np.hypot((p1 - p2) / 2.0, abs(zc)))
+    phase = float(np.angle(zc))
+    argmax = StrategyParams(float(np.arctan2(2.0 * abs(zc), p1 - p2)), phase / 2.0, -phase / 2.0)
+    return max(best - base, 0.0), argmax
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +229,9 @@ def payoff_gradient_closed(alpha: float, point: SymmetricPoint) -> tuple[float, 
 _BETA_WINDOW = np.pi / 4.0
 
 
-def _stationarity_residual(moments, theta: float, beta: float, h: float = 1e-6) -> float:
+def _stationarity_residual(moments, theta, beta, h: float = 1e-6):
+    """Central-difference gradient norm of the phase-balanced deviation
+    payoff at (theta, beta); broadcasts over arrays."""
     dth = (
         _deviation_payoff(moments, theta + h, beta, -beta)
         - _deviation_payoff(moments, theta - h, beta, -beta)
@@ -251,7 +240,7 @@ def _stationarity_residual(moments, theta: float, beta: float, h: float = 1e-6) 
         _deviation_payoff(moments, theta, beta + h, -beta - h)
         - _deviation_payoff(moments, theta, beta - h, -beta + h)
     ) / (2.0 * h)
-    return float(np.hypot(dth, dbe))
+    return np.hypot(dth, dbe)
 
 
 def _canonicalize(theta: float, beta: float) -> tuple[float, float]:
@@ -265,6 +254,13 @@ def _canonicalize(theta: float, beta: float) -> tuple[float, float]:
     return theta, beta
 
 
+def _search_grid(grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """(grid + 1) x grid mesh of thetas over [0, pi] and betas over the window."""
+    thetas = np.linspace(0.0, np.pi, grid + 1)
+    betas = np.linspace(-_BETA_WINDOW, _BETA_WINDOW, grid, endpoint=False)
+    return np.meshgrid(thetas, betas, indexing="ij")
+
+
 def find_symmetric_ne(
     alpha: float,
     f: float = 1.0,
@@ -275,22 +271,23 @@ def find_symmetric_ne(
 ) -> list[EquilibriumReport]:
     """All certified symmetric equilibria, canonical representatives only.
 
-    Grid scan of the deviation-payoff stationarity residual, Nelder-Mead
-    polish of the local minima, then certification of each deduplicated
-    candidate by deviation_gain <= gain_tol.  Sorted by (theta, beta).
+    Batched grid scan of the deviation-payoff stationarity residual,
+    Nelder-Mead polish of the local minima, then certification of each
+    deduplicated candidate by the exact deviation_gain <= gain_tol.  Sorted
+    by (theta, beta).  deviation_grid is validated (None or >= 2) but no
+    longer changes the result, as deviation_gain is a closed form.
     """
-    alpha = _check_alpha(alpha)
+    alpha, f = game._check_alpha_f(alpha, f)
     if grid < 8:
         raise ValueError("grid resolution must be at least 8")
-    ens = noisy_state(alpha, f)
+    if deviation_grid is not None and deviation_grid < 2:
+        raise ValueError("deviation grid resolution must be at least 2")
+    _check_tolerances(gain_tol, refine_tol)
+    psi = _family_tensor(alpha)
 
-    thetas = np.linspace(0.0, np.pi, grid + 1)
-    betas = np.linspace(-_BETA_WINDOW, _BETA_WINDOW, grid, endpoint=False)
-    resid = np.empty((thetas.size, betas.size))
-    for i, th in enumerate(thetas):
-        for j, be in enumerate(betas):
-            m = _corner_amplitudes(ens, strategy_unitary(StrategyParams.symmetric(th, be)))
-            resid[i, j] = _stationarity_residual(m, th, be)
+    th_mesh, be_mesh = _search_grid(grid)
+    moments, _ = _symmetric_kernel(psi, f, th_mesh, be_mesh)
+    resid = _stationarity_residual(moments, th_mesh, be_mesh)
 
     # the theta = 0 and theta = pi rows are stationary for every beta on this
     # family (the deviator's cross moment vanishes there), so enumerate them
@@ -301,22 +298,20 @@ def find_symmetric_ne(
     taken: list[tuple[int, int]] = []
     for flat in order:
         i, j = np.unravel_index(flat, resid.shape)
-        if i == 0 or i == thetas.size - 1:
+        if i == 0 or i == resid.shape[0] - 1:
             continue
         window = resid[max(0, i - 1) : i + 2, max(0, j - 1) : j + 2]
         if resid[i, j] > window.min() + 1e-15 or resid[i, j] > 0.05:
             continue
         if all(max(abs(i - a), abs(j - b)) >= 3 for a, b in taken):
             taken.append((int(i), int(j)))
-            seeds.append((float(thetas[i]), float(betas[j])))
+            seeds.append((float(th_mesh[i, j]), float(be_mesh[i, j])))
         if len(seeds) >= 32:
             break
 
     def residual_at(x):
-        m = _corner_amplitudes(
-            ens, strategy_unitary(StrategyParams.symmetric(float(x[0]), float(x[1])))
-        )
-        return _stationarity_residual(m, float(x[0]), float(x[1]))
+        th, be = float(x[0]), float(x[1])
+        return float(_stationarity_residual(_symmetric_kernel(psi, f, th, be)[0], th, be))
 
     candidates: list[tuple[float, float]] = []
     for seed in seeds:
@@ -361,30 +356,24 @@ def find_symmetric_po(
 ) -> tuple[SymmetricPoint, float]:
     """Global maximizer of the symmetric payoff over (theta, beta).
 
-    Grid scan plus Nelder-Mead polish.  Degenerate maximizers (the exact
-    theta <-> pi - theta and beta <-> -beta symmetries of this family) are
-    resolved to the representative with smallest theta, then beta >= 0.
+    Batched grid scan of the pure-state payoff (noise only rescales it) plus
+    Nelder-Mead polish.  Degenerate maximizers (the exact theta <-> pi - theta
+    and beta <-> -beta symmetries of this family) are resolved to the
+    representative with smallest theta, then beta >= 0.
     """
-    alpha = _check_alpha(alpha)
-    f = float(f)
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"f must be in [0, 1], got {f}")
+    alpha, f = game._check_alpha_f(alpha, f)
     if grid < 8:
         raise ValueError("grid resolution must be at least 8")
-    pure = family_state(alpha)
+    _check_tolerances(refine_tol=refine_tol)
+    psi = _family_tensor(alpha)
 
-    def pure_payoff(x) -> float:
-        prof = (StrategyParams.symmetric(float(x[0]), float(x[1])),) * game.N_PLAYERS
-        return game.average_payoff(pure, prof)
-
-    thetas = np.linspace(0.0, np.pi, grid + 1)
-    betas = np.linspace(-_BETA_WINDOW, _BETA_WINDOW, grid, endpoint=False)
-    vals = np.array([[pure_payoff((th, be)) for be in betas] for th in thetas])
+    th_mesh, be_mesh = _search_grid(grid)
+    _, vals = _symmetric_kernel(psi, 1.0, th_mesh, be_mesh)
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
 
     def polish(x0) -> tuple[float, float, float]:
         res = optimize.minimize(
-            lambda x: -pure_payoff(x),
+            lambda x: -float(_symmetric_kernel(psi, 1.0, x[0], x[1])[1]),
             x0=np.asarray(x0, dtype=float),
             method="Nelder-Mead",
             bounds=[(0.0, np.pi), (-_BETA_WINDOW, _BETA_WINDOW)],
@@ -392,7 +381,7 @@ def find_symmetric_po(
         )
         return float(-res.fun), float(res.x[0]), float(res.x[1])
 
-    best_val, th, be = polish((thetas[i], betas[j]))
+    _, th, be = polish((th_mesh[i, j], be_mesh[i, j]))
     images = {(th, be), (np.pi - th, be), (th, -be), (np.pi - th, -be)}
     polished = [polish(x0) for x0 in sorted(images)]
     top = max(v for v, _, _ in polished)

@@ -67,11 +67,25 @@ class StrategyParams:
 
 
 def strategy_unitary(params: StrategyParams) -> np.ndarray:
-    c = np.cos(params.theta / 2.0)
-    s = np.sin(params.theta / 2.0)
-    e1 = np.exp(1j * params.beta1)
-    e2 = np.exp(1j * params.beta2)
-    return np.array([[e1 * c, 1j * e2 * s], [1j * s / e2, c / e1]])
+    return _unitaries(params.theta, params.beta1, params.beta2)
+
+
+def _unitaries(theta, beta1, beta2) -> np.ndarray:
+    """M(theta, beta1, beta2) for broadcastable angles, shape (..., 2, 2).
+
+    Angles are not validated: callers pass StrategyParams fields or grids
+    built inside the parameter ranges.
+    """
+    c = np.cos(np.asarray(theta) / 2.0)
+    s = np.sin(np.asarray(theta) / 2.0)
+    e1 = np.exp(1j * np.asarray(beta1))
+    e2 = np.exp(1j * np.asarray(beta2))
+    u = np.empty(np.broadcast(c, e1, e2).shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = e1 * c
+    u[..., 0, 1] = 1j * e2 * s
+    u[..., 1, 0] = 1j * s / e2
+    u[..., 1, 1] = c / e1
+    return u
 
 
 STRATEGY_I = StrategyParams(np.pi / 2, np.pi / 8, -np.pi / 8)

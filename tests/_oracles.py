@@ -45,14 +45,13 @@ def phase_gap(u, v):
     return 1.0 - abs(np.trace(np.asarray(u).conj().T @ np.asarray(v))) / 2.0
 
 
-def probe_deviation_max(alpha, f, point):
-    """Closed-form global best-response payoff for the fourth player.
+def probe_moments(alpha, f, point):
+    """Corner moments (P1, P2, Z) of the fourth player's payoff.
 
     Her payoff against a fixed symmetric profile is
     c^2 P1 + s^2 P2 + sin(theta) Re(e^{i(b2-b1)} Z) in her own parameters,
     so four probe evaluations through the public game pipeline pin down
-    (P1, P2, Re Z, Im Z) and the maximum over all unitaries is
-    (P1+P2)/2 + sqrt(((P1-P2)/2)^2 + |Z|^2).
+    (P1, P2, Re Z, Im Z).
     """
     ens = noisy_state(alpha, f)
 
@@ -64,4 +63,13 @@ def probe_deviation_max(alpha, f, point):
     p2 = debra(np.pi, 0.0, 0.0)
     re_z = debra(np.pi / 2, 0.0, 0.0) - (p1 + p2) / 2
     im_z = (p1 + p2) / 2 - debra(np.pi / 2, 0.0, np.pi / 2)
-    return (p1 + p2) / 2 + float(np.hypot((p1 - p2) / 2, np.hypot(re_z, im_z)))
+    return p1, p2, complex(re_z, im_z)
+
+
+def probe_deviation_max(alpha, f, point):
+    """Closed-form global best-response payoff for the fourth player:
+    the maximum over all unitaries is (P1+P2)/2 + sqrt(((P1-P2)/2)^2 + |Z|^2)
+    with the probed moments of probe_moments.
+    """
+    p1, p2, z = probe_moments(alpha, f, point)
+    return (p1 + p2) / 2 + float(np.hypot((p1 - p2) / 2, abs(z)))

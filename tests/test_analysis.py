@@ -185,6 +185,10 @@ def test_load_counts_reports_problems_with_context():
     with pytest.raises(ValueError, match="duplicate"):
         load_counts(io.StringIO(duplicated))
 
+    huge = text.replace("0011,100", f"0011,{2**63}")
+    with pytest.raises(ValueError, match="line .*0011"):
+        load_counts(io.StringIO(huge))
+
     bad_eff = "# efficiency zz 0.5\n" + text
     with pytest.raises(ValueError, match="zz"):
         load_counts(io.StringIO(bad_eff))
@@ -227,6 +231,10 @@ def test_fit_input_validation():
         fit_f([good])
     with pytest.raises(ValueError):
         fit_f([good, FitPoint(0.5, "II", "Z", 0.15, 0.0)])
+    for payoff, error in ((float("nan"), 0.01), (0.2, float("nan")), (float("inf"), 0.01),
+                          (0.2, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            FitPoint(1.0, "I", "Z", payoff, error)
     # slope is identically zero at alpha=0 for strategy II: nothing constrains f
     flat = [FitPoint(0.0, "II", "Z", 0.125, 0.01), FitPoint(0.0, "II", "Z", 0.126, 0.01)]
     with pytest.raises(ValueError):

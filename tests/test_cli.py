@@ -68,6 +68,19 @@ def test_usage_errors_exit_2():
     assert run_cli("scan-alpha", "--f", "1", "--strategy", "II", "--npoints", "1").returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("find-ne", "--alpha", "0.5", "--gain-tol", "nan"),
+    ("find-ne", "--alpha", "0.5", "--gain-tol", "-0.5"),
+    ("find-ne", "--alpha", "0.5", "--refine-tol", "-1"),
+    ("find-po", "--alpha", "0.5", "--refine-tol", "inf"),
+    ("deviation", "--alpha", "0.5", "--theta", "1", "--beta", "0", "--refine-tol", "0"),
+])
+def test_bad_tolerances_are_usage_errors(args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert "tol must be finite" in r.stderr
+
+
 def test_scan_alpha_named_values():
     r = run_cli("scan-alpha", "--f", "1", "--strategy", "II", "--basis", "Z",
                 "--alphas", "0,0.816496580927726,1")
@@ -161,6 +174,12 @@ def test_fit_argument_contract(tmp_path):
     r = run_cli("fit", "--points", str(empty))
     assert r.returncode == 1
     assert "error" in r.stderr.lower()
+
+    nan_payoff = tmp_path / "nan.csv"
+    nan_payoff.write_text("alpha,strategy,basis,payoff,error\n0.5,I,Z,nan,0.01\n1,II,Z,0.2,0.01\n")
+    r = run_cli("fit", "--points", str(nan_payoff))
+    assert r.returncode == 1
+    assert "line 2: payoff must be finite" in r.stderr
 
     assert run_cli("fit").returncode == 2
     assert run_cli("fit", "--points", str(empty), "--bundled").returncode == 2

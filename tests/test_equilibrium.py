@@ -1,14 +1,19 @@
 """Symmetric Nash-equilibrium and Pareto search with closed-form anchors."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-from _oracles import probe_deviation_max
+from _oracles import probe_deviation_max, probe_moments
 
 from qminority import (
     STRATEGY_I,
     STRATEGY_II,
+    StrategyParams,
     expected_payoffs,
     family_state,
     noisy_state,
@@ -17,6 +22,8 @@ from qminority.equilibrium import (
     ALPHA_STAR,
     EquilibriumReport,
     SymmetricPoint,
+    _family_tensor,
+    _symmetric_kernel,
     deviation_gain,
     find_symmetric_ne,
     find_symmetric_po,
@@ -275,3 +282,103 @@ def test_domain_validation():
         deviation_gain(-0.1, 1.0, SymmetricPoint(0.5, 0.0))
     with pytest.raises(ValueError):
         symmetric_payoff(0.5, 2.0, SymmetricPoint(0.5, 0.0))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
+def test_tolerance_validation(bad):
+    point = SymmetricPoint(0.5, 0.0)
+    with pytest.raises(ValueError, match="gain_tol"):
+        find_symmetric_ne(0.5, gain_tol=bad)
+    with pytest.raises(ValueError, match="refine_tol"):
+        find_symmetric_ne(0.5, refine_tol=bad)
+    with pytest.raises(ValueError, match="refine_tol"):
+        find_symmetric_po(0.5, refine_tol=bad)
+    with pytest.raises(ValueError, match="refine_tol"):
+        deviation_gain(0.5, 1.0, point, refine_tol=bad)
+    with pytest.raises(ValueError, match="refine_tol"):
+        deviation_gain(0.5, 1.0, point, refine_tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# properties of the batched kernel and the exact best response
+
+unit = st.floats(0.0, 1.0)
+theta_st = st.floats(0.0, np.pi)
+beta_st = st.floats(-np.pi, np.pi)
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+def _deviator_payoff(alpha, f, point, deviation):
+    profile = list(symmetric_profile(point))[:3] + [deviation]
+    return float(expected_payoffs(noisy_state(alpha, f), profile)[3])
+
+
+@PROPERTY
+@given(alpha=unit, f=unit, theta=theta_st, beta=beta_st)
+def test_kernel_payoff_matches_expected_payoffs(alpha, f, theta, beta):
+    _, payoff = _symmetric_kernel(_family_tensor(alpha), f, theta, beta)
+    profile = symmetric_profile(SymmetricPoint(theta, beta))
+    want = float(np.mean(expected_payoffs(noisy_state(alpha, f), profile)))
+    assert abs(float(payoff) - want) < 1e-12
+
+
+@PROPERTY
+@given(alpha=unit, f=unit, theta=theta_st, beta=beta_st)
+def test_kernel_moments_match_four_probes(alpha, f, theta, beta):
+    moments, _ = _symmetric_kernel(_family_tensor(alpha), f, theta, beta)
+    probed = probe_moments(alpha, f, SymmetricPoint(theta, beta))
+    for got, want in zip(moments, probed):
+        assert abs(complex(got) - want) < 1e-12
+
+
+@PROPERTY
+@given(alpha=unit, f=unit, angles=st.lists(st.tuples(theta_st, beta_st, beta_st),
+                                           min_size=4, max_size=4))
+def test_noise_is_an_affine_map_of_pure_results(alpha, f, angles):
+    profile = [StrategyParams(*a) for a in angles]
+    noisy = expected_payoffs(noisy_state(alpha, f), profile)
+    pure = expected_payoffs(family_state(alpha), profile)
+    assert np.max(np.abs(noisy - (f * pure + (1 - f) / 8))) < 1e-12
+    point = SymmetricPoint(angles[0][0], angles[0][1])
+    mixed = probe_moments(alpha, f, point)
+    pure_moments = probe_moments(alpha, 1.0, point)
+    for got, p, u in zip(mixed, pure_moments, (1 / 8, 1 / 8, 0)):
+        assert abs(got - (f * p + (1 - f) * u)) < 1e-12
+
+
+@PROPERTY
+@given(alpha=unit, f=unit, theta=theta_st, beta=beta_st,
+       deviations=st.lists(st.tuples(theta_st, beta_st, beta_st), min_size=1, max_size=5))
+def test_exact_gain_bounds_every_sampled_deviation(alpha, f, theta, beta, deviations):
+    point = SymmetricPoint(theta, beta)
+    gain, best = deviation_gain(alpha, f, point)
+    base = symmetric_payoff(alpha, f, point)
+    assert gain >= 0
+    for d in deviations:
+        assert _deviator_payoff(alpha, f, point, StrategyParams(*d)) - base <= gain + 1e-12
+    assert abs(_deviator_payoff(alpha, f, point, best) - (base + gain)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# golden regression: certified equilibria and optima of the per-point search
+# with the 64^3 lattice certification that the batched kernel and the exact
+# best response replaced (captured at commit d7236cc)
+
+GOLDEN = json.loads(Path(__file__).with_name("golden_equilibria.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"alpha={c['alpha']}-f={c['f']}")
+def test_golden_equilibria_unchanged(case):
+    alpha, f = case["alpha"], case["f"]
+    reports = find_symmetric_ne(alpha, f)
+    assert len(reports) == len(case["ne"])
+    for r, (theta, beta, payoff, gain) in zip(reports, case["ne"]):
+        assert abs(r.point.theta - theta) < 1e-7
+        assert abs(r.point.beta - beta) < 1e-7
+        assert abs(r.payoff - payoff) < 1e-10
+        assert abs(r.max_deviation_gain - gain) < 1e-10
+    point, payoff = find_symmetric_po(alpha, f)
+    assert abs(payoff - case["po"][2]) < 1e-10
+    if alpha > 0:  # at alpha = 0 the payoff does not depend on beta
+        assert abs(point.theta - case["po"][0]) < 1e-6
+        assert abs(point.beta - case["po"][1]) < 1e-6
