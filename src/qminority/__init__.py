@@ -43,7 +43,7 @@ from .game import (
     outcome_distribution,
     separable_benchmark,
 )
-from .qcore import PureState, StateEnsemble, apply_local, apply_local_ensemble, basis_state
+from .qcore import DensityMatrix, PureState, apply_local, basis_state
 from .states import (
     alpha_from_hwp,
     family_state,
@@ -101,10 +101,9 @@ __all__ = [
     "minority_payoffs",
     "outcome_distribution",
     "separable_benchmark",
+    "DensityMatrix",
     "PureState",
-    "StateEnsemble",
     "apply_local",
-    "apply_local_ensemble",
     "basis_state",
     "alpha_from_hwp",
     "family_state",

@@ -24,7 +24,7 @@ import numpy as np
 from . import game
 from .game import MINORITY_TABLE, MeasurementBasis
 from .qcore import index_to_bits
-from .states import family_state, noisy_state
+from .states import _check_unit, family_state, noisy_state
 from .strategies import STRATEGY_I, STRATEGY_II, StrategyParams
 
 __all__ = [
@@ -106,8 +106,8 @@ class CountsTable:
             raise ValueError(f"strategy must be one of {sorted(STRATEGY_BY_NAME)}, got {self.strategy!r}")
         if self.basis is not None:
             object.__setattr__(self, "basis", MeasurementBasis(self.basis).value)
-        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if self.alpha is not None:
+            object.__setattr__(self, "alpha", _check_unit("alpha", self.alpha))
 
     @property
     def total(self) -> int:
@@ -368,8 +368,7 @@ class FitPoint:
     error: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        object.__setattr__(self, "alpha", _check_unit("alpha", self.alpha))
         if self.strategy not in STRATEGY_BY_NAME:
             raise ValueError(f"strategy must be one of {sorted(STRATEGY_BY_NAME)}, got {self.strategy!r}")
         object.__setattr__(self, "basis", MeasurementBasis(self.basis).value)

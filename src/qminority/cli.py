@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, analysis, game, states, strategies
 from . import equilibrium as eq
 from .defaults import GRID, NE_GAIN_TOL, OPT_TOL
-from .qcore import apply_local, apply_local_ensemble
+from .qcore import apply_local
 from .strategies import StrategyParams, strategy_unitary
 
 RNG_ALGORITHM = "pcg64"  # numpy default_rng bit generator used throughout
@@ -159,11 +159,11 @@ def _cmd_scan_alpha(args, parser) -> int:
     name, params = _resolve_strategy(args, parser)
     if args.alphas is not None:
         try:
-            alphas = [float(tok) for tok in args.alphas.split(",") if tok.strip()]
-        except ValueError:
-            parser.error(f"--alphas must be a comma-separated list of numbers, got {args.alphas!r}")
-        if len(alphas) < 1 or any(not 0.0 <= a <= 1.0 for a in alphas):
-            parser.error("--alphas values must lie in [0, 1]")
+            alphas = [_alpha_type(tok) for tok in args.alphas.split(",") if tok.strip()]
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"--alphas: {exc}")
+        if not alphas:
+            parser.error("--alphas needs at least one value")
     else:
         alphas = list(np.linspace(0.0, 1.0, args.npoints))
     meta = {"f": _fmt(args.f), **_strategy_meta(name, params), "basis": args.basis,
@@ -282,19 +282,19 @@ def _cmd_simulate_counts(args, parser) -> int:
 
 
 def _cmd_fidelity(args, parser) -> int:
-    ens = states.noisy_state(args.alpha, args.f)
+    rho = states.noisy_state(args.alpha, args.f)
     target = states.ghz_state()
     meta = {"alpha": _fmt(args.alpha), "f": _fmt(args.f), "transform": args.transform}
     lines = _meta_lines(args, meta) + ["quantity,value"]
     if args.transform == "none":
-        lines.append(f"direct_overlap,{_fmt(states.ghz_fidelity(ens, target))}")
-        lines.append(f"stabilizer_estimate,{_fmt(states.stabilizer_fidelity(ens))}")
+        lines.append(f"direct_overlap,{_fmt(states.ghz_fidelity(rho, target))}")
+        lines.append(f"stabilizer_estimate,{_fmt(states.stabilizer_fidelity(rho))}")
         lines.append(f"stabilizer_settings,{len(states.stabilizer_fidelity_settings())}")
     else:
         u = strategy_unitary(analysis.STRATEGY_BY_NAME[args.transform])
-        ens = apply_local_ensemble(ens, [u] * 4)
+        rho = apply_local(rho, [u] * 4)
         target = apply_local(target, [u] * 4)
-        lines.append(f"direct_overlap,{_fmt(states.ghz_fidelity(ens, target))}")
+        lines.append(f"direct_overlap,{_fmt(states.ghz_fidelity(rho, target))}")
     _emit(lines, args.output)
     return 0
 
@@ -412,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "Quarter/half/quarter waveplate angles realizing a strategy, with "
              "the bench-triple comparison for named strategies.")
     _add_strategy_args(sp)
-    sp.add_argument("--tol", type=float, default=OPT_TOL)
+    sp.add_argument("--tol", type=_tolerance_type("tol", allow_zero=False), default=OPT_TOL)
 
     return parser
 

@@ -31,7 +31,7 @@ from scipy import optimize
 
 from .defaults import ALGEBRA_TOL, GRID, NE_GAIN_TOL, OPT_TOL
 from . import game
-from .states import family_state, noisy_state
+from .states import _check_unit, family_state, noisy_state
 from .strategies import StrategyParams, _unitaries
 
 __all__ = [
@@ -80,8 +80,7 @@ def symmetric_profile(point: SymmetricPoint) -> tuple[StrategyParams, ...]:
 
 def symmetric_payoff(alpha: float, f: float, point: SymmetricPoint) -> float:
     """Common expected payoff when all four play (theta, beta)."""
-    ens = noisy_state(alpha, f)
-    return float(np.mean(game.expected_payoffs(ens, symmetric_profile(point))))
+    return float(np.mean(game.expected_payoffs(noisy_state(alpha, f), symmetric_profile(point))))
 
 
 def _check_tolerances(gain_tol: float = 0.0, refine_tol: float = OPT_TOL) -> None:
@@ -155,7 +154,7 @@ def deviation_gain(
     0.  grid and refine_tol are validated but do not change the result; they
     stay for existing callers and the deviation CLI header.
     """
-    alpha, f = game._check_alpha_f(alpha, f)
+    alpha, f = _check_unit("alpha", alpha), _check_unit("f", f)
     if grid < 2:
         raise ValueError("grid resolution must be at least 2")
     _check_tolerances(refine_tol=refine_tol)
@@ -171,20 +170,13 @@ def deviation_gain(
 # ---------------------------------------------------------------------------
 # closed forms
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return alpha
-
-
 def ne_theta(alpha: float) -> float | None:
     """Polar angle of the phase-free symmetric equilibrium branch.
 
     cos(theta) = sqrt[(2 - 3a^2) / (2 - a^2 + 2a sqrt(2 - 2a^2))]; defined
     for alpha <= sqrt(2/3), None beyond (no equilibrium of that family).
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_unit("alpha", alpha)
     num = 2.0 - 3.0 * alpha**2
     if num < -ALGEBRA_TOL:
         return None
@@ -194,7 +186,7 @@ def ne_theta(alpha: float) -> float | None:
 
 def ne_payoff(alpha: float) -> float:
     """Equilibrium payoff on the branch covered by ne_theta."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_unit("alpha", alpha)
     if alpha > ALPHA_STAR + ALGEBRA_TOL:
         raise ValueError(f"equilibrium branch requires alpha <= sqrt(2/3), got {alpha}")
     r = np.sqrt(2.0 - 2.0 * alpha**2)
@@ -209,7 +201,7 @@ def payoff_gradient_closed(alpha: float, point: SymmetricPoint) -> tuple[float, 
     Returns (d/dtheta', d/dbeta') of the deviator payoff with the deviation
     phases locked to beta1' = -beta2', evaluated at the symmetric point.
     """
-    a = _check_alpha(alpha)
+    a = _check_unit("alpha", alpha)
     th, be = point.theta, point.beta
     r = np.sqrt(2.0 - 2.0 * a**2)
     c4 = np.cos(4.0 * be)
@@ -277,7 +269,7 @@ def find_symmetric_ne(
     by (theta, beta).  deviation_grid is validated (None or >= 2) but no
     longer changes the result, as deviation_gain is a closed form.
     """
-    alpha, f = game._check_alpha_f(alpha, f)
+    alpha, f = _check_unit("alpha", alpha), _check_unit("f", f)
     if grid < 8:
         raise ValueError("grid resolution must be at least 8")
     if deviation_grid is not None and deviation_grid < 2:
@@ -361,7 +353,7 @@ def find_symmetric_po(
     and beta <-> -beta symmetries of this family) are resolved to the
     representative with smallest theta, then beta >= 0.
     """
-    alpha, f = game._check_alpha_f(alpha, f)
+    alpha, f = _check_unit("alpha", alpha), _check_unit("f", f)
     if grid < 8:
         raise ValueError("grid resolution must be at least 8")
     _check_tolerances(refine_tol=refine_tol)

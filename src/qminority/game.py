@@ -18,14 +18,14 @@ from typing import Sequence
 import numpy as np
 
 from .qcore import (
+    DensityMatrix,
     PureState,
-    StateEnsemble,
     apply_local,
     basis_rotation,
-    basis_state,
     bits_to_index,
     outcome_probabilities,
 )
+from .states import _check_unit
 from .strategies import StrategyParams, strategy_unitary
 
 __all__ = [
@@ -91,71 +91,46 @@ def final_state(state: PureState, profile: Sequence[StrategyParams]) -> PureStat
     return apply_local(state, _check_profile(profile))
 
 
-def _distribution_pure(
-    state: PureState, ops: list[np.ndarray], basis: MeasurementBasis
-) -> np.ndarray:
-    out = apply_local(state, ops)
-    if basis != MeasurementBasis.Z:
-        rot = basis_rotation(basis.value)
-        out = apply_local(out, [rot] * N_PLAYERS)
-    return outcome_probabilities(out)
-
-
 def outcome_distribution(
-    ens: StateEnsemble | PureState,
+    state: DensityMatrix | PureState,
     profile: Sequence[StrategyParams],
     basis: MeasurementBasis | str = MeasurementBasis.Z,
 ) -> np.ndarray:
     """Readout distribution over the 16 outcomes after play."""
-    basis = MeasurementBasis(basis)
-    ops = _check_profile(profile)
-    if isinstance(ens, PureState):
-        ens = StateEnsemble.pure(ens)
-    probs = np.stack([_distribution_pure(s, ops, basis) for s in ens.states])
-    return ens.weights @ probs
+    rot = basis_rotation(MeasurementBasis(basis).value)
+    return outcome_probabilities(apply_local(state, [rot @ u for u in _check_profile(profile)]))
 
 
 def expected_payoffs(
-    ens: StateEnsemble | PureState,
+    state: DensityMatrix | PureState,
     profile: Sequence[StrategyParams],
     basis: MeasurementBasis | str = MeasurementBasis.Z,
 ) -> np.ndarray:
     """Expected payoff of each player under the given profile and readout basis."""
-    return outcome_distribution(ens, profile, basis) @ MINORITY_TABLE
+    return outcome_distribution(state, profile, basis) @ MINORITY_TABLE
 
 
 def average_payoff(
-    ens: StateEnsemble | PureState,
+    state: DensityMatrix | PureState,
     profile: Sequence[StrategyParams],
     basis: MeasurementBasis | str = MeasurementBasis.Z,
 ) -> float:
-    return float(np.mean(expected_payoffs(ens, profile, basis)))
+    return float(np.mean(expected_payoffs(state, profile, basis)))
 
 
-def separable_benchmark() -> StateEnsemble:
+def separable_benchmark() -> DensityMatrix:
     """Uniform mixture of the eight 3-1-split basis kets.
 
     Matches the quantum value 1/4 under Z readout with identity play, but
     falls back to the classical 1/8 in the X and Y bases; separates genuine
     entanglement from a classically correlated preparation.
     """
-    indices = [i for i in range(_DIM) if bin(i).count("1") in (1, 3)]
-    states = tuple(basis_state(N_PLAYERS, i) for i in indices)
-    return StateEnsemble(np.full(len(indices), 1.0 / len(indices)), states)
-
-
-def _check_alpha_f(alpha: float, f: float) -> tuple[float, float]:
-    alpha, f = float(alpha), float(f)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"f must be in [0, 1], got {f}")
-    return alpha, f
+    return DensityMatrix(np.diag(MINORITY_TABLE.sum(axis=1) / 8.0))
 
 
 def average_payoff_closed_ii(alpha: float, f: float = 1.0) -> float:
     """Closed-form average payoff of STRATEGY_II play on the noisy family."""
-    alpha, f = _check_alpha_f(alpha, f)
+    alpha, f = _check_unit("alpha", alpha), _check_unit("f", f)
     return 1.0 / 8.0 + (f / 16.0) * alpha * (2.0 * np.sqrt(2.0 - 2.0 * alpha**2) - alpha)
 
 
@@ -164,7 +139,7 @@ def average_payoff_closed_i(alpha: float, f: float = 1.0) -> float:
 
     Derived from the simulation: the pure-state value is alpha^2/4.
     """
-    alpha, f = _check_alpha_f(alpha, f)
+    alpha, f = _check_unit("alpha", alpha), _check_unit("f", f)
     return 1.0 / 8.0 + (f / 8.0) * (2.0 * alpha**2 - 1.0)
 
 
@@ -174,5 +149,5 @@ def average_payoff_closed_i_alt(alpha: float, f: float = 1.0) -> float:
     Kept for comparison runs only: it disagrees with the simulation away from
     alpha = 1 (about 0.0077 low at the strategy crossing alpha = sqrt(2/3)).
     """
-    alpha, f = _check_alpha_f(alpha, f)
+    alpha, f = _check_unit("alpha", alpha), _check_unit("f", f)
     return 1.0 / 8.0 + (f / 8.0) * alpha * (2.0 * alpha**2 - 1.0)

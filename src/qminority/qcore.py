@@ -3,8 +3,8 @@
 States are plain complex amplitude vectors over the computational basis in
 big-endian order: qubit 0 is the leftmost character of a ket label and the
 most significant bit of the basis index ("0110" -> index 6).  Mixed states
-are represented as weighted ensembles of pure states; nothing here builds a
-density matrix.
+are density matrices over the same basis; local operations and readout
+accept either kind.
 
 All containers are immutable after construction (arrays are write-protected),
 so instances can be shared freely across threads.
@@ -13,6 +13,7 @@ so instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -21,15 +22,13 @@ from .defaults import ALGEBRA_TOL
 
 __all__ = [
     "PureState",
-    "StateEnsemble",
+    "DensityMatrix",
     "basis_state",
     "bits_to_index",
     "index_to_bits",
     "is_unitary",
     "apply_local",
-    "apply_local_ensemble",
     "outcome_probabilities",
-    "ensemble_probabilities",
     "inner",
     "basis_rotation",
 ]
@@ -81,35 +80,31 @@ def basis_state(n: int, label: int | str) -> PureState:
 
 
 @dataclass(frozen=True)
-class StateEnsemble:
-    """Probability-weighted mixture of pure states on a common register."""
+class DensityMatrix:
+    """Mixed state: Hermitian, unit-trace, positive semidefinite 2**n x 2**n matrix."""
 
-    weights: np.ndarray
-    states: tuple[PureState, ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        states = tuple(self.states)
-        if w.ndim != 1 or w.size != len(states) or w.size == 0:
-            raise ValueError("weights and states must be non-empty and match in length")
-        if np.any(w < -ALGEBRA_TOL):
-            raise ValueError("ensemble weights must be non-negative")
-        if abs(float(w.sum()) - 1.0) > ALGEBRA_TOL * 100:
-            raise ValueError(f"ensemble weights must sum to 1, got {w.sum()!r}")
-        n = states[0].n
-        if any(s.n != n for s in states):
-            raise ValueError("all ensemble members must have the same qubit count")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states", states)
+        rho = np.array(self.matrix, dtype=complex)
+        dim = rho.shape[0] if rho.ndim == 2 else 0
+        if rho.shape != (dim, dim) or dim < 2 or dim & (dim - 1) or not np.all(np.isfinite(rho)):
+            raise ValueError("density matrix must be finite and square with 2**n rows, n >= 1")
+        tol = ALGEBRA_TOL * 100
+        if np.max(np.abs(rho - rho.conj().T)) > tol:
+            raise ValueError("density matrix must be Hermitian")
+        trace = complex(np.trace(rho))
+        if abs(trace - 1.0) > tol:
+            raise ValueError(f"density matrix must have unit trace, got {trace!r}")
+        lowest = float(np.linalg.eigvalsh(rho)[0])
+        if lowest < -tol:
+            raise ValueError(f"density matrix has a negative eigenvalue {lowest!r}")
+        rho.setflags(write=False)
+        object.__setattr__(self, "matrix", rho)
 
     @property
     def n(self) -> int:
-        return self.states[0].n
-
-    @classmethod
-    def pure(cls, state: PureState) -> "StateEnsemble":
-        return cls(np.array([1.0]), (state,))
+        return self.matrix.shape[0].bit_length() - 1
 
 
 def is_unitary(m: np.ndarray, tol: float = ALGEBRA_TOL) -> bool:
@@ -131,30 +126,26 @@ def _check_ops(ops: Sequence[np.ndarray], n: int, tol: float) -> list[np.ndarray
     return checked
 
 
-def apply_local(state: PureState, ops: Sequence[np.ndarray], tol: float = ALGEBRA_TOL) -> PureState:
-    """Apply one single-qubit unitary per qubit (qubit q gets ops[q])."""
-    n = state.n
-    ops = _check_ops(ops, n, tol)
-    psi = state.amplitudes.reshape([2] * n)
-    for q, op in enumerate(ops):
-        psi = np.moveaxis(np.tensordot(op, psi, axes=([1], [q])), 0, q)
-    return PureState(psi.reshape(-1))
+def apply_local(
+    state: PureState | DensityMatrix, ops: Sequence[np.ndarray], tol: float = ALGEBRA_TOL
+) -> PureState | DensityMatrix:
+    """Apply one single-qubit unitary per qubit (qubit q gets ops[q]).
+
+    Returns U psi for a pure state and U rho U^dag for a density matrix,
+    with U the tensor product of the operators.
+    """
+    u = reduce(np.kron, _check_ops(ops, state.n, tol))
+    if isinstance(state, PureState):
+        return PureState(u @ state.amplitudes)
+    return DensityMatrix(u @ state.matrix @ u.conj().T)
 
 
-def apply_local_ensemble(ens: StateEnsemble, ops: Sequence[np.ndarray], tol: float = ALGEBRA_TOL) -> StateEnsemble:
-    """Apply the same per-qubit unitaries to every ensemble member."""
-    return StateEnsemble(ens.weights, tuple(apply_local(s, ops, tol) for s in ens.states))
-
-
-def outcome_probabilities(state: PureState) -> np.ndarray:
-    """Computational-basis probabilities p_i = |a_i|^2."""
-    return np.abs(state.amplitudes) ** 2
-
-
-def ensemble_probabilities(ens: StateEnsemble) -> np.ndarray:
-    """Weighted computational-basis probabilities of an ensemble."""
-    probs = np.stack([outcome_probabilities(s) for s in ens.states])
-    return ens.weights @ probs
+def outcome_probabilities(state: PureState | DensityMatrix) -> np.ndarray:
+    """Computational-basis probabilities: |a_i|^2, or the diagonal of rho
+    (rounding below zero clipped, so the result is a valid distribution)."""
+    if isinstance(state, PureState):
+        return np.abs(state.amplitudes) ** 2
+    return np.clip(np.diagonal(state.matrix).real, 0.0, None)
 
 
 def inner(a: PureState, b: PureState) -> complex:

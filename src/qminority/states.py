@@ -7,8 +7,9 @@ state (alpha = 1):
     |psi(alpha)> = alpha/sqrt(2) (|0000> + |1111>)
                  + sqrt(1 - alpha^2)/2 (|0101> + |0110> + |1001> + |1010>)
 
-Imperfect preparation is modeled as white noise: the pure state with weight
-f plus the uniform mixture of all 16 basis kets with weight (1 - f).
+Imperfect preparation is modeled as white noise: the density matrix
+f |psi><psi| + (1 - f) I/16.  This module owns the [0, 1] range check that
+alpha and f share.
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .defaults import ALGEBRA_TOL
-from .qcore import (
-    PureState,
-    StateEnsemble,
-    basis_rotation,
-    basis_state,
-    ensemble_probabilities,
-    apply_local,
-    inner,
-)
+from .qcore import DensityMatrix, PureState, apply_local, basis_rotation, outcome_probabilities
 
 __all__ = [
     "family_state",
@@ -43,16 +36,17 @@ DIM = 16
 _EPR_INDICES = (0b0101, 0b0110, 0b1001, 0b1010)
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return alpha
+def _check_unit(name: str, value: float) -> float:
+    """value as a float, if it lies in [0, 1] (the range of alpha and f)."""
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+    return value
 
 
 def family_state(alpha: float) -> PureState:
     """Pure four-qubit input state at interpolation parameter alpha."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_unit("alpha", alpha)
     amps = np.zeros(DIM, dtype=complex)
     amps[0b0000] = amps[0b1111] = alpha / np.sqrt(2.0)
     amps[list(_EPR_INDICES)] = np.sqrt(1.0 - alpha**2) / 2.0
@@ -63,24 +57,11 @@ def ghz_state() -> PureState:
     return family_state(1.0)
 
 
-def noisy_state(alpha: float, f: float) -> StateEnsemble:
-    """family_state(alpha) with weight f, plus uniform basis-ket noise.
-
-    f = 1 gives a single-member ensemble; f = 0 the bare uniform mixture.
-    """
-    alpha = _check_alpha(alpha)
-    f = float(f)
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"noise fraction f must be in [0, 1], got {f}")
-    weights: list[float] = []
-    states: list[PureState] = []
-    if f > 0.0:
-        weights.append(f)
-        states.append(family_state(alpha))
-    if f < 1.0:
-        weights.extend([(1.0 - f) / DIM] * DIM)
-        states.extend(basis_state(N_QUBITS, i) for i in range(DIM))
-    return StateEnsemble(np.array(weights), tuple(states))
+def noisy_state(alpha: float, f: float) -> DensityMatrix:
+    """f |psi(alpha)><psi(alpha)| + (1 - f) I/16; f = 0 is the bare uniform mixture."""
+    amps = family_state(alpha).amplitudes
+    f = _check_unit("noise fraction f", f)
+    return DensityMatrix(f * np.outer(amps, amps.conj()) + (1.0 - f) / DIM * np.eye(DIM))
 
 
 def alpha_from_hwp(gamma: float) -> float:
@@ -96,12 +77,12 @@ def alpha_from_hwp(gamma: float) -> float:
     return min(float(num / den), 1.0)
 
 
-def ghz_fidelity(ens: StateEnsemble, target: PureState) -> float:
-    """Overlap fidelity <target| rho |target> of an ensemble with a pure target."""
-    if ens.n != target.n:
-        raise ValueError("ensemble and target live on different registers")
-    overlaps = np.array([abs(inner(target, s)) ** 2 for s in ens.states])
-    return float(ens.weights @ overlaps)
+def ghz_fidelity(rho: DensityMatrix, target: PureState) -> float:
+    """Overlap fidelity <target| rho |target> of a mixed state with a pure target."""
+    if rho.n != target.n:
+        raise ValueError("state and target live on different registers")
+    t = target.amplitudes
+    return float(np.vdot(t, rho.matrix @ t).real)
 
 
 # The GHZ stabilizer group decomposes the GHZ projector into 16 Pauli strings:
@@ -129,27 +110,24 @@ def _pauli_expectation(probs: np.ndarray, string: str) -> float:
     return float(signs @ probs)
 
 
-def _setting_probabilities(ens: StateEnsemble, setting: str) -> np.ndarray:
-    ops = [basis_rotation(axis) for axis in setting]
-    rotated = [apply_local(s, ops) for s in ens.states]
-    probs = np.stack([np.abs(s.amplitudes) ** 2 for s in rotated])
-    return ens.weights @ probs
+def _setting_probabilities(state: DensityMatrix, setting: str) -> np.ndarray:
+    return outcome_probabilities(apply_local(state, [basis_rotation(axis) for axis in setting]))
 
 
-def stabilizer_fidelity(ens: StateEnsemble) -> float:
+def stabilizer_fidelity(state: DensityMatrix) -> float:
     """GHZ fidelity estimated from the 9 stabilizer measurement settings.
 
     The signed average over the stabilizer group reproduces the direct
-    overlap with the GHZ state exactly, for any input ensemble.
+    overlap with the GHZ state exactly, for any input state.
     """
-    if ens.n != N_QUBITS:
+    if state.n != N_QUBITS:
         raise ValueError("stabilizer estimate defined for four qubits")
-    z_probs = _setting_probabilities(ens, "ZZZZ")
+    z_probs = _setting_probabilities(state, "ZZZZ")
     total = 1.0  # identity element
     for string in _Z_STRINGS:
         total += _pauli_expectation(z_probs, string)
     for setting in ("XXXX", "YYYY"):
-        total += _pauli_expectation(_setting_probabilities(ens, setting), setting)
+        total += _pauli_expectation(_setting_probabilities(state, setting), setting)
     for setting in _MIXED_STRINGS:
-        total -= _pauli_expectation(_setting_probabilities(ens, setting), setting)
+        total -= _pauli_expectation(_setting_probabilities(state, setting), setting)
     return total / 16.0

@@ -154,12 +154,15 @@ def solve_waveplate_angles(u: np.ndarray, tol: float = OPT_TOL) -> WaveplateTrip
     """Plate triple reproducing the unitary u up to global phase.
 
     Coarse grid over the three plate angles, then least-squares polish of the
-    phase-aligned entries.  Raises ValueError for non-unitary input and
-    RuntimeError if no triple reaches the requested tolerance.
+    phase-aligned entries.  Raises ValueError for non-unitary input or a
+    tolerance that is not finite and > 0, and RuntimeError if no triple
+    reaches the requested tolerance.
     """
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise ValueError("waveplate solve requires a 2x2 unitary")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
     def residuals(angles):
         m = compose_waveplates(WaveplateTriple(*angles))

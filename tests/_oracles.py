@@ -8,7 +8,7 @@ closed-form best-response bound instead of a grid scan.
 
 import numpy as np
 
-from qminority import StrategyParams, expected_payoffs, noisy_state
+from qminority import DensityMatrix, StrategyParams, expected_payoffs, noisy_state
 from qminority.equilibrium import symmetric_profile
 
 
@@ -30,6 +30,20 @@ def random_unitary(rng):
 def random_state_vector(rng, dim=16):
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return z / np.linalg.norm(z)
+
+
+def mixture(weights, states):
+    """sum_i w_i |psi_i><psi_i| built member by member."""
+    return DensityMatrix(sum(w * np.outer(s.amplitudes, s.amplitudes.conj())
+                             for w, s in zip(weights, states)))
+
+
+def random_density_matrix(rng, dim=16):
+    """Random mixed state G G^dag / tr(G G^dag) of random rank."""
+    rank = int(rng.integers(1, dim + 1))
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = g @ g.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
 
 
 def random_params(rng):

@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qminority import (
     STRATEGY_I,
@@ -158,6 +159,14 @@ def test_simulate_counts_efficiency_round_trip():
     assert np.max(np.abs(p - want) / np.sqrt(var)) < 3.5
 
 
+def test_simulate_counts_with_zero_probability_outcomes():
+    # these outcomes have probability 0; rounding in U rho U^dag must not
+    # leave a negative probability for the multinomial draw to reject
+    t = simulate_counts(0.5, 1.0, [STRATEGY_I] * 4, "Z", 1000, seed=1)
+    assert t.total == 1000
+    assert np.all(outcome_distribution(noisy_state(0.5, 1.0), [STRATEGY_II] * 4, "X") >= 0)
+
+
 def test_counts_file_round_trip(tmp_path):
     rng = np.random.default_rng(603)
     eff = rng.uniform(0.4, 1.0, size=(4, 2))
@@ -169,6 +178,23 @@ def test_counts_file_round_trip(tmp_path):
     assert np.array_equal(back.counts, t.counts)
     assert np.max(np.abs(back.efficiencies - t.efficiencies)) < 1e-15
     assert back.alpha == t.alpha and back.strategy == "I" and back.basis == "Y"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 2**63 - 1), min_size=16, max_size=16),
+    eff=st.lists(st.floats(1e-300, 1e300), min_size=8, max_size=8),
+    alpha=st.none() | st.floats(0.0, 1.0),
+    strategy=st.sampled_from([None, "I", "II"]),
+    basis=st.sampled_from([None, "Z", "X", "Y"]),
+)
+def test_format_then_load_counts_is_the_identity(counts, eff, alpha, strategy, basis):
+    t = CountsTable(np.array(counts, dtype=np.int64), np.reshape(eff, (4, 2)),
+                    alpha=alpha, strategy=strategy, basis=basis)
+    back = load_counts(io.StringIO(format_counts(t)))
+    assert np.array_equal(back.counts, t.counts)
+    assert np.array_equal(back.efficiencies, t.efficiencies)
+    assert (back.alpha, back.strategy, back.basis) == (t.alpha, t.strategy, t.basis)
 
 
 def test_load_counts_reports_problems_with_context():

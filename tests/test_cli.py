@@ -74,6 +74,9 @@ def test_usage_errors_exit_2():
     ("find-ne", "--alpha", "0.5", "--refine-tol", "-1"),
     ("find-po", "--alpha", "0.5", "--refine-tol", "inf"),
     ("deviation", "--alpha", "0.5", "--theta", "1", "--beta", "0", "--refine-tol", "0"),
+    ("waveplates", "--strategy", "I", "--tol", "nan"),
+    ("waveplates", "--strategy", "I", "--tol", "-1"),
+    ("waveplates", "--strategy", "I", "--tol", "inf"),
 ])
 def test_bad_tolerances_are_usage_errors(args):
     r = run_cli(*args)

@@ -95,16 +95,19 @@ def test_deviation_gain_matches_analytic_best_response():
         assert gain >= -1e-12
 
 
-def test_deviation_gain_monotone_in_grid():
+def test_deviation_gain_is_independent_of_grid_and_refine_tol():
+    # the best response is a closed form: grid and refine_tol are validated
+    # but must not change the result
     cases = [(0.6, 1.0, SymmetricPoint(1.0, 0.1)),
              (1.0, 1.0, SymmetricPoint(np.pi / 4, 0.0)),
              (0.3, 0.8, SymmetricPoint(0.647497, 0.0))]
     for alpha, f, point in cases:
-        g16 = deviation_gain(alpha, f, point, grid=16)[0]
-        g32 = deviation_gain(alpha, f, point, grid=32)[0]
-        g64 = deviation_gain(alpha, f, point, grid=64)[0]
-        assert g32 >= g16 - 1e-9
-        assert g64 >= g32 - 1e-9
+        want = deviation_gain(alpha, f, point)
+        for grid in (2, 16, 64):
+            for refine_tol in (1e-12, 1e-9, 1e-6, 0.1):
+                assert deviation_gain(alpha, f, point, grid=grid, refine_tol=refine_tol) == want
+        with pytest.raises(ValueError):
+            deviation_gain(alpha, f, point, grid=1)
 
 
 def test_ne_theta_closed_form():

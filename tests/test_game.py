@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _oracles import random_params, random_state_vector
+from _oracles import mixture, random_density_matrix, random_params, random_state_vector
 
 from qminority import (
     MINORITY_TABLE,
@@ -26,7 +27,7 @@ from qminority.game import (
     average_payoff_closed_i_alt,
     average_payoff_closed_ii,
 )
-from qminority.qcore import PureState, StateEnsemble, basis_state
+from qminority.qcore import DensityMatrix, PureState, basis_state
 
 IDENTITY_PROFILE = [StrategyParams(0, 0, 0)] * 4
 
@@ -88,7 +89,7 @@ def test_linearity_over_ensembles():
         w = rng.uniform(0.1, 1, size=3)
         w /= w.sum()
         profile = [random_params(rng) for _ in range(4)]
-        whole = expected_payoffs(StateEnsemble(w, members), profile)
+        whole = expected_payoffs(mixture(w, members), profile)
         parts = sum(wi * expected_payoffs(s, profile) for wi, s in zip(w, members))
         assert np.max(np.abs(whole - parts)) < 1e-12
 
@@ -196,15 +197,17 @@ def test_basis_argument_forms():
 
 
 def test_separable_benchmark():
-    ens = separable_benchmark()
-    assert abs(float(ens.weights.sum()) - 1.0) < 1e-12
-    assert len(ens.states) == 8
-    for s in ens.states:
-        idx = int(np.argmax(np.abs(s.amplitudes)))
+    rho = separable_benchmark()
+    assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
+    assert np.array_equal(rho.matrix, np.diag(np.diagonal(rho.matrix)))
+    support = [i for i in range(16) if rho.matrix[i, i] != 0]
+    assert len(support) == 8
+    for idx in support:
         assert bin(idx).count("1") in (1, 3)
-    assert np.max(np.abs(expected_payoffs(ens, IDENTITY_PROFILE, "Z") - 0.25)) < 1e-9
-    assert np.max(np.abs(expected_payoffs(ens, IDENTITY_PROFILE, "X") - 0.125)) < 1e-9
-    assert np.max(np.abs(expected_payoffs(ens, IDENTITY_PROFILE, "Y") - 0.125)) < 1e-9
+        assert rho.matrix[idx, idx] == 1 / 8
+    assert np.max(np.abs(expected_payoffs(rho, IDENTITY_PROFILE, "Z") - 0.25)) < 1e-9
+    assert np.max(np.abs(expected_payoffs(rho, IDENTITY_PROFILE, "X") - 0.125)) < 1e-9
+    assert np.max(np.abs(expected_payoffs(rho, IDENTITY_PROFILE, "Y") - 0.125)) < 1e-9
 
 
 def test_skipping_the_unentangling_gate_is_harmless():
@@ -229,3 +232,48 @@ def test_closed_form_domains():
             fn(1.2, 1.0)
         with pytest.raises(ValueError):
             fn(0.5, -0.2)
+
+
+# ---------------------------------------------------------------------------
+# properties over random states and profiles
+
+PROPERTY = settings(max_examples=60, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+bases = st.sampled_from("ZXY")
+# outcomes with a 3-1 split, the only ones that pay
+SPLIT_31 = [i for i in range(16) if bin(i).count("1") in (1, 3)]
+
+
+def random_state(rng, mixed):
+    return random_density_matrix(rng) if mixed else PureState(random_state_vector(rng))
+
+
+def permute_qubits(state, perm):
+    """The state whose qubit q is qubit perm[q] of the input."""
+    if isinstance(state, PureState):
+        return PureState(state.amplitudes.reshape([2] * 4).transpose(perm).reshape(16))
+    axes = list(perm) + [4 + q for q in perm]
+    return DensityMatrix(state.matrix.reshape([2] * 8).transpose(axes).reshape(16, 16))
+
+
+@PROPERTY
+@given(seed=seeds, mixed=st.booleans(), basis=bases)
+def test_payoffs_lie_in_unit_interval_and_sum_to_the_split_probability(seed, mixed, basis):
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, mixed)
+    profile = [random_params(rng) for _ in range(4)]
+    pays = expected_payoffs(state, profile, basis)
+    assert np.all(pays >= 0.0) and np.all(pays <= 1.0)
+    split = outcome_distribution(state, profile, basis)[SPLIT_31].sum()
+    assert abs(pays.sum() - split) < 1e-12
+
+
+@PROPERTY
+@given(seed=seeds, mixed=st.booleans(), basis=bases, perm=st.permutations(range(4)))
+def test_permuting_players_with_their_qubits_permutes_payoffs(seed, mixed, basis, perm):
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, mixed)
+    profile = [random_params(rng) for _ in range(4)]
+    pays = expected_payoffs(state, profile, basis)
+    permuted = expected_payoffs(permute_qubits(state, perm), [profile[q] for q in perm], basis)
+    assert np.max(np.abs(permuted - pays[list(perm)])) < 1e-12

@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from _oracles import kron_apply, random_state_vector, random_unitary
+from _oracles import kron_apply, mixture, random_state_vector, random_unitary
 
 from qminority import STRATEGY_I, strategy_unitary
 from qminority.qcore import (
+    DensityMatrix,
     PureState,
-    StateEnsemble,
     apply_local,
-    apply_local_ensemble,
     basis_state,
     bits_to_index,
-    ensemble_probabilities,
     index_to_bits,
     inner,
     outcome_probabilities,
@@ -152,40 +150,48 @@ def test_global_phase_leaves_probabilities_unchanged():
 
 def test_ensemble_probabilities():
     ghz = PureState(ghz_vector())
-    single = StateEnsemble.pure(ghz)
-    assert np.allclose(ensemble_probabilities(single), outcome_probabilities(ghz), atol=1e-15)
+    single = mixture([1.0], [ghz])
+    assert np.allclose(outcome_probabilities(single), outcome_probabilities(ghz), atol=1e-15)
 
-    kets = tuple(basis_state(4, i) for i in range(16))
-    uniform = StateEnsemble(np.full(16, 1 / 16), kets)
-    assert np.max(np.abs(ensemble_probabilities(uniform) - 1 / 16)) < 1e-15
+    uniform = DensityMatrix(np.eye(16) / 16)
+    assert np.max(np.abs(outcome_probabilities(uniform) - 1 / 16)) < 1e-15
 
     # half GHZ, half uniform noise: p(0000) = 0.5*0.5 + 0.5/16
-    mixed = StateEnsemble(np.array([0.5] + [0.5 / 16] * 16), (ghz,) + kets)
-    p = ensemble_probabilities(mixed)
+    kets = [basis_state(4, i) for i in range(16)]
+    mixed = mixture([0.5] + [0.5 / 16] * 16, [ghz] + kets)
+    p = outcome_probabilities(mixed)
     assert abs(p[0] - 0.28125) < 1e-15
 
 
 def test_apply_local_ensemble_applies_memberwise():
     rng = np.random.default_rng(105)
-    members = tuple(PureState(random_state_vector(rng)) for _ in range(3))
+    members = [PureState(random_state_vector(rng)) for _ in range(3)]
     w = np.array([0.2, 0.3, 0.5])
     ops = [random_unitary(rng) for _ in range(4)]
-    out = apply_local_ensemble(StateEnsemble(w, members), ops)
-    for before, after in zip(members, out.states):
-        assert np.max(np.abs(after.amplitudes - apply_local(before, ops).amplitudes)) < 1e-15
+    out = apply_local(mixture(w, members), ops)
+    assert isinstance(out, DensityMatrix)
+    want = mixture(w, [apply_local(s, ops) for s in members])
+    assert np.max(np.abs(out.matrix - want.matrix)) < 1e-15
 
 
 def test_ensemble_validation():
-    ghz = PureState(ghz_vector())
+    ghz = ghz_vector()
+    rho = DensityMatrix(np.outer(ghz, ghz.conj()))
+    assert rho.n == 4
     with pytest.raises(ValueError):
-        StateEnsemble(np.array([0.5, 0.4]), (ghz,))  # length mismatch
+        rho.matrix[0, 0] = 9.0  # write-protected
     with pytest.raises(ValueError):
-        StateEnsemble(np.array([0.7, 0.4]), (ghz, ghz))  # does not sum to 1
+        DensityMatrix(np.eye(16)[:, :8] / 8)  # not square
     with pytest.raises(ValueError):
-        StateEnsemble(np.array([1.5, -0.5]), (ghz, ghz))  # negative weight
-    two_qubit = PureState(np.array([1, 0, 0, 0], dtype=complex))
+        DensityMatrix(np.eye(3) / 3)  # not 2**n rows
     with pytest.raises(ValueError):
-        StateEnsemble(np.array([0.5, 0.5]), (ghz, two_qubit))  # register mismatch
+        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+    with pytest.raises(ValueError):
+        DensityMatrix(np.eye(4) / 2)  # trace 2
+    with pytest.raises(ValueError):
+        DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(ValueError):
+        DensityMatrix(np.full((2, 2), np.nan))  # not finite
 
 
 def test_inner_product():

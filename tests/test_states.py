@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from _oracles import random_state_vector
+from _oracles import mixture, random_state_vector
 
 from qminority import (
     STRATEGY_I,
     alpha_from_hwp,
     apply_local,
-    apply_local_ensemble,
     family_state,
     ghz_fidelity,
     ghz_state,
@@ -18,7 +17,7 @@ from qminority import (
     stabilizer_fidelity_settings,
     strategy_unitary,
 )
-from qminority.qcore import PureState, StateEnsemble, basis_state, inner
+from qminority.qcore import DensityMatrix, PureState, basis_state, inner
 
 EPR_KETS = [0b0101, 0b0110, 0b1001, 0b1010]
 
@@ -61,19 +60,19 @@ def test_family_state_domain():
 
 
 def test_noisy_state_structure():
+    psi = family_state(0.7).amplitudes
     pure = noisy_state(0.7, 1.0)
-    assert len(pure.states) == 1
-    assert pure.weights[0] == 1.0
+    assert isinstance(pure, DensityMatrix)
+    assert np.max(np.abs(pure.matrix - np.outer(psi, psi.conj()))) < 1e-15
 
     mixed = noisy_state(0.7, 0.0)
-    assert len(mixed.states) == 16
-    assert np.max(np.abs(mixed.weights - 1 / 16)) < 1e-15
+    assert np.max(np.abs(mixed.matrix - np.eye(16) / 16)) < 1e-15
 
+    ghz = ghz_state().amplitudes
     noisy = noisy_state(1.0, 0.71)
-    assert len(noisy.states) == 17
-    assert noisy.weights[0] == 0.71
-    assert np.max(np.abs(noisy.weights[1:] - 0.018125)) < 1e-15
-    assert abs(noisy.weights.sum() - 1.0) < 1e-12
+    want = 0.71 * np.outer(ghz, ghz.conj()) + 0.018125 * np.eye(16)
+    assert np.max(np.abs(noisy.matrix - want)) < 1e-15
+    assert abs(np.trace(noisy.matrix) - 1.0) < 1e-12
 
 
 def test_noisy_state_domain():
@@ -105,7 +104,7 @@ def test_alpha_from_hwp_domain():
 
 def test_ghz_fidelity_direct():
     ghz = ghz_state()
-    assert abs(ghz_fidelity(StateEnsemble.pure(ghz), ghz) - 1.0) < 1e-15
+    assert abs(ghz_fidelity(mixture([1.0], [ghz]), ghz) - 1.0) < 1e-15
     for f in (0.0, 0.5, 0.71, 1.0):
         got = ghz_fidelity(noisy_state(1.0, f), ghz)
         assert abs(got - (1 + 15 * f) / 16) < 1e-12
@@ -120,18 +119,18 @@ def test_ghz_fidelity_matches_overlap_sum():
     members = tuple(PureState(random_state_vector(rng)) for _ in range(5))
     w = rng.uniform(0.1, 1, size=5)
     w /= w.sum()
-    ens = StateEnsemble(w, members)
+    rho = mixture(w, members)
     want = sum(wi * abs(inner(target, s)) ** 2 for wi, s in zip(w, members))
-    assert abs(ghz_fidelity(ens, target) - want) < 1e-15
+    assert abs(ghz_fidelity(rho, target) - want) < 1e-15
 
 
 def test_transformed_fidelity_value():
     # rotating state and target together reproduces the raw overlap
     f = 0.746 * 16 / 15 - 1 / 15
-    ens = noisy_state(1.0, f)
+    rho = noisy_state(1.0, f)
     ops = [strategy_unitary(STRATEGY_I)] * 4
     rotated_target = apply_local(ghz_state(), ops)
-    got = ghz_fidelity(apply_local_ensemble(ens, ops), rotated_target)
+    got = ghz_fidelity(apply_local(rho, ops), rotated_target)
     assert abs(got - 0.746) < 1e-12
 
 
@@ -144,11 +143,11 @@ def test_stabilizer_settings_list():
 
 
 def test_stabilizer_estimate_examples():
-    assert abs(stabilizer_fidelity(StateEnsemble.pure(ghz_state())) - 1.0) < 1e-12
+    assert abs(stabilizer_fidelity(mixture([1.0], [ghz_state()])) - 1.0) < 1e-12
     for f in (0.0, 0.3, 0.71, 1.0):
         got = stabilizer_fidelity(noisy_state(1.0, f))
         assert abs(got - (1 + 15 * f) / 16) < 1e-12
-    got = stabilizer_fidelity(StateEnsemble.pure(basis_state(4, "0000")))
+    got = stabilizer_fidelity(mixture([1.0], [basis_state(4, "0000")]))
     assert abs(got - 0.5) < 1e-12
 
 
@@ -159,8 +158,8 @@ def test_stabilizer_estimate_equals_direct_overlap():
         members = tuple(PureState(random_state_vector(rng)) for _ in range(3))
         w = rng.uniform(0.1, 1, size=3)
         w /= w.sum()
-        ens = StateEnsemble(w, members)
-        assert abs(stabilizer_fidelity(ens) - ghz_fidelity(ens, ghz)) < 1e-12
+        rho = mixture(w, members)
+        assert abs(stabilizer_fidelity(rho) - ghz_fidelity(rho, ghz)) < 1e-12
     for f in np.linspace(0, 1, 11):
-        ens = noisy_state(1.0, float(f))
-        assert abs(stabilizer_fidelity(ens) - ghz_fidelity(ens, ghz)) < 1e-12
+        rho = noisy_state(1.0, float(f))
+        assert abs(stabilizer_fidelity(rho) - ghz_fidelity(rho, ghz)) < 1e-12

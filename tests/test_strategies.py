@@ -157,6 +157,12 @@ def test_solve_waveplate_angles_rejects_non_unitary():
         solve_waveplate_angles(np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_solve_waveplate_angles_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol"):
+        solve_waveplate_angles(strategy_unitary(STRATEGY_I), tol=tol)
+
+
 def test_phase_distance_is_clamped_nonnegative():
     u = strategy_unitary(STRATEGY_I)
     d = phase_distance(u, np.exp(1j * 0.7) * u)
