@@ -236,7 +236,17 @@ def load_counts(source) -> CountsTable:
 
 def format_counts(table: CountsTable, comments: tuple[str, ...] = ()) -> str:
     """Render a counts file: comment block, meta line, efficiency lines,
-    'outcome,count' header, then the 16 rows in outcome order."""
+    'outcome,count' header, then the 16 rows in outcome order.
+
+    Raises ValueError for a comment that load_counts would not read back as
+    a comment: one spanning several lines, or one starting with 'meta' or
+    'efficiency' (after stripping), which it parses as a directive.
+    """
+    for c in comments:
+        if "".join(c.splitlines()) != c:
+            raise ValueError(f"counts file comment must be one line, got {c!r}")
+        if c.strip().startswith(("meta", "efficiency")):
+            raise ValueError(f"counts file comment must not start with 'meta' or 'efficiency', got {c!r}")
     lines = [f"# {c}" for c in comments]
     meta_parts = []
     if table.alpha is not None:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .defaults import ALGEBRA_TOL, GRID, NE_GAIN_TOL, OPT_TOL
 from . import game
@@ -267,7 +266,9 @@ def find_symmetric_ne(
     Nelder-Mead polish of the local minima, then certification of each
     deduplicated candidate by the exact deviation_gain <= gain_tol.  Sorted
     by (theta, beta).  deviation_grid is validated (None or >= 2) but no
-    longer changes the result, as deviation_gain is a closed form.
+    longer changes the result, as deviation_gain is a closed form.  At f = 0
+    every symmetric point is an equilibrium; the list then holds up to 32
+    arbitrary representatives of that continuum, one per search seed.
     """
     alpha, f = _check_unit("alpha", alpha), _check_unit("f", f)
     if grid < 8:
@@ -304,6 +305,8 @@ def find_symmetric_ne(
     def residual_at(x):
         th, be = float(x[0]), float(x[1])
         return float(_stationarity_residual(_symmetric_kernel(psi, f, th, be)[0], th, be))
+
+    from scipy import optimize  # lazy: only the two searches pay its import
 
     candidates: list[tuple[float, float]] = []
     for seed in seeds:
@@ -362,6 +365,8 @@ def find_symmetric_po(
     th_mesh, be_mesh = _search_grid(grid)
     _, vals = _symmetric_kernel(psi, 1.0, th_mesh, be_mesh)
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+
+    from scipy import optimize  # lazy: only the two searches pay its import
 
     def polish(x0) -> tuple[float, float, float]:
         res = optimize.minimize(

@@ -56,8 +56,8 @@ class PureState:
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex)
         n = amps.size.bit_length() - 1
-        if amps.ndim != 1 or amps.size < 2 or amps.size != 2**n:
-            raise ValueError("amplitude vector length must be 2**n with n >= 1")
+        if amps.ndim != 1 or amps.size < 2 or amps.size != 2**n or not np.all(np.isfinite(amps)):
+            raise ValueError("amplitude vector must be finite with length 2**n, n >= 1")
         norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > ALGEBRA_TOL * 100:
             raise ValueError(f"state not normalized: |psi|^2 = {norm2!r}")

@@ -15,7 +15,8 @@ plate triple.  Jones matrices use the convention
     qwp(phi) = R(phi) diag(1, i)  R(-phi)
 
 with R a real rotation by the plate's fast-axis angle phi; global phases are
-dropped throughout, and plate angles are pi-periodic.
+dropped throughout, and plate angles are pi-periodic.  solve_waveplate_angles
+finds the triple for any 2x2 unitary in closed form (an Euler decomposition).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .defaults import ALGEBRA_TOL, OPT_TOL
 from .qcore import is_unitary
@@ -150,41 +150,40 @@ def _aligned_difference(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.max(np.abs(u - v / phase)))
 
 
+def _closed_form_triple(u: np.ndarray) -> WaveplateTriple:
+    """Plate angles with qwp(c) hwp(b) qwp(a) = u up to global phase.
+
+    hwp(b) = R(2b) Z, Z R(a) = R(-a) Z and, with S = diag(1, i), Z S = S^-1
+    and S R(p) S^-1 = cos(p) + i sin(p) X = E(p).  So the triple is the Y-X-Y
+    Euler product R(c) E(2b - a - c) R(-a) (Simon & Mukunda, Phys. Lett. A
+    143, 165 (1990)), read off u scaled into SU(2).  A vanishing cos(p) or
+    sin(p) leaves its phase undefined but multiplies it by zero.
+    """
+    v = u / np.sqrt(np.linalg.det(u))
+    cos_part = complex(v[0, 0].real, v[1, 0].real)  # cos(p) e^{i(c - a)}
+    sin_part = complex(v[1, 0].imag, -v[0, 0].imag)  # sin(p) e^{i(c + a)}
+    diff, total = np.angle(cos_part), np.angle(sin_part)
+    p = np.arctan2(abs(sin_part), abs(cos_part))
+    return WaveplateTriple((total - diff) / 2, (p + total) / 2, (total + diff) / 2)
+
+
 def solve_waveplate_angles(u: np.ndarray, tol: float = OPT_TOL) -> WaveplateTriple:
     """Plate triple reproducing the unitary u up to global phase.
 
-    Coarse grid over the three plate angles, then least-squares polish of the
-    phase-aligned entries.  Raises ValueError for non-unitary input or a
-    tolerance that is not finite and > 0, and RuntimeError if no triple
-    reaches the requested tolerance.
+    Closed-form Euler decomposition, checked by recomposition.  Raises
+    ValueError for non-unitary input or a tolerance that is not finite and
+    > 0, and RuntimeError if the triple misses u by more than tol.
     """
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise ValueError("waveplate solve requires a 2x2 unitary")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-
-    def residuals(angles):
-        m = compose_waveplates(WaveplateTriple(*angles))
-        tr = np.trace(u.conj().T @ m)
-        phase = tr / abs(tr) if abs(tr) > 1e-15 else 1.0
-        d = (m / phase - u).ravel()
-        return np.concatenate([d.real, d.imag])
-
-    grid = np.linspace(-np.pi / 2, np.pi / 2, 13)[:-1]
-    coarse = [
-        (phase_distance(u, compose_waveplates(WaveplateTriple(a, b, c))), (a, b, c))
-        for a in grid
-        for b in grid
-        for c in grid
-    ]
-    coarse.sort(key=lambda t: t[0])
-    for _, start in coarse[:8]:
-        fit = optimize.least_squares(residuals, start, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        triple = WaveplateTriple(*fit.x)
-        if _aligned_difference(u, compose_waveplates(triple)) <= tol:
-            return triple
-    raise RuntimeError("waveplate angle solve did not converge")
+    triple = _closed_form_triple(u)
+    miss = _aligned_difference(u, compose_waveplates(triple))
+    if not miss <= tol:
+        raise RuntimeError(f"waveplate triple misses the unitary by {miss!r}, above tol={tol!r}")
+    return triple
 
 
 # Plate settings used on the optical bench for the two named strategies.

@@ -180,21 +180,50 @@ def test_counts_file_round_trip(tmp_path):
     assert back.alpha == t.alpha and back.strategy == "I" and back.basis == "Y"
 
 
-@settings(max_examples=100, deadline=None)
+_DIRECTIVE_COMMENTS = ["meta run 3", "  efficiency A0 0.5", "metadata", "meta"]
+_MULTILINE_COMMENTS = ["two\nlines", "a\rb", "x\r\n", "p\u2028q", "\n"]
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # what str.splitlines splits on
+
+
+def _misread(comment: str) -> bool:
+    """Would load_counts read '# comment' as something other than one comment?"""
+    return any(ch in _LINE_BREAKS for ch in comment) or comment.strip().startswith(("meta", "efficiency"))
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     counts=st.lists(st.integers(0, 2**63 - 1), min_size=16, max_size=16),
     eff=st.lists(st.floats(1e-300, 1e300), min_size=8, max_size=8),
     alpha=st.none() | st.floats(0.0, 1.0),
     strategy=st.sampled_from([None, "I", "II"]),
     basis=st.sampled_from([None, "Z", "X", "Y"]),
+    comments=st.lists(
+        st.text(max_size=12) | st.sampled_from(_DIRECTIVE_COMMENTS + _MULTILINE_COMMENTS),
+        max_size=3,
+    ),
 )
-def test_format_then_load_counts_is_the_identity(counts, eff, alpha, strategy, basis):
+def test_format_then_load_counts_is_the_identity(counts, eff, alpha, strategy, basis, comments):
     t = CountsTable(np.array(counts, dtype=np.int64), np.reshape(eff, (4, 2)),
                     alpha=alpha, strategy=strategy, basis=basis)
-    back = load_counts(io.StringIO(format_counts(t)))
+    comments = tuple(comments)
+    if any(map(_misread, comments)):
+        with pytest.raises(ValueError, match="comment"):
+            format_counts(t, comments)
+        return
+    text = format_counts(t, comments)
+    assert text.splitlines()[: len(comments)] == [f"# {c}" for c in comments]
+    back = load_counts(io.StringIO(text))
     assert np.array_equal(back.counts, t.counts)
     assert np.array_equal(back.efficiencies, t.efficiencies)
     assert (back.alpha, back.strategy, back.basis) == (t.alpha, t.strategy, t.basis)
+
+
+@pytest.mark.parametrize("comment", _DIRECTIVE_COMMENTS + _MULTILINE_COMMENTS)
+def test_format_counts_refuses_comments_load_counts_would_misread(tmp_path, comment):
+    t = CountsTable(np.arange(16), np.ones((4, 2)), alpha=0.5)
+    with pytest.raises(ValueError, match="comment"):
+        save_counts(t, tmp_path / "counts.csv", comments=("fine", comment))
+    assert not (tmp_path / "counts.csv").exists()
 
 
 def test_load_counts_reports_problems_with_context():

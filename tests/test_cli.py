@@ -236,6 +236,42 @@ def test_waveplates_command():
     assert "bench_matches" not in kv
 
 
+# Runs the CLI in-process (no argv: import only), then prints on stderr the
+# scipy modules the process has loaded.
+_SCIPY_PROBE = """
+import sys
+import qminority
+from qminority.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def scipy_modules_loaded(*args):
+    r = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *args], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return r.stderr.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("args", [
+    (),
+    ("payoff", "--alpha", "0.5", "--f", "0.9", "--strategy", "I"),
+    ("scan-alpha", "--f", "0.9", "--strategy", "II", "--npoints", "3"),
+    ("fidelity", "--alpha", "1", "--f", "0.71", "--transform", "I"),
+    ("fit", "--bundled"),
+    ("simulate-counts", "--alpha", "0.8", "--strategy", "II", "--events", "100", "--seed", "5"),
+    ("waveplates", "--theta", "1.0", "--beta1", "0.3", "--beta2", "-0.7"),
+    ("deviation", "--alpha", "0.6", "--f", "0.8", "--theta", "1.0", "--beta", "0.2"),
+], ids=lambda args: args[0] if args else "import")
+def test_commands_without_a_search_never_load_scipy(args):
+    assert scipy_modules_loaded(*args) == "[]"
+
+
+def test_find_po_loads_scipy_optimize():
+    assert "'scipy.optimize'" in scipy_modules_loaded("find-po", "--alpha", "0.5", "--f", "1")
+
+
 def test_repeat_runs_are_byte_identical():
     a = run_cli("find-ne", "--alpha", "0.3", "--f", "1")
     b = run_cli("find-ne", "--alpha", "0.3", "--f", "1")

@@ -52,6 +52,14 @@ def test_pure_state_requires_normalization():
         PureState(np.ones(16, dtype=complex))
     with pytest.raises(ValueError):
         PureState(np.ones(3, dtype=complex) / np.sqrt(3))  # not 2**n long
+    for bad in (np.nan, np.inf):
+        amps = np.full(16, bad, dtype=complex)
+        with pytest.raises(ValueError, match="finite"):
+            PureState(amps)
+        amps = ghz_vector()
+        amps[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PureState(amps)
     s = PureState(ghz_vector())
     assert s.n == 4
     with pytest.raises(ValueError):

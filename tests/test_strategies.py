@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import phase_gap, random_unitary
 
@@ -16,7 +17,12 @@ from qminority import (
     solve_waveplate_angles,
     strategy_unitary,
 )
-from qminority.strategies import BENCH_TRIPLES, bench_triple_report, phase_distance
+from qminority.strategies import (
+    BENCH_TRIPLES,
+    _aligned_difference,
+    bench_triple_report,
+    phase_distance,
+)
 
 
 def test_strategy_unitary_identity():
@@ -148,6 +154,47 @@ def test_solve_waveplate_angles_random_round_trips():
         target = random_unitary(rng)
         t = solve_waveplate_angles(target)
         assert phase_gap(compose_waveplates(t), target) < 1e-9
+
+
+def _assert_exact_solve(target):
+    t = solve_waveplate_angles(target, tol=1e-12)
+    assert _aligned_difference(target, compose_waveplates(t)) <= 1e-12
+    for angle in (t.qwp1, t.hwp, t.qwp2):
+        assert -np.pi / 2 < angle <= np.pi / 2
+
+
+_phases = st.floats(-np.pi, np.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), phase=_phases)
+def test_closed_form_solve_on_haar_random_unitaries(seed, phase):
+    _assert_exact_solve(np.exp(1j * phase) * random_unitary(np.random.default_rng(seed)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(eps=st.floats(1e-12, 1e-6), flipped=st.booleans(), beta1=_phases, beta2=_phases)
+def test_closed_form_solve_near_gimbal_lock(eps, flipped, beta1, beta2):
+    # theta -> 0 or pi leaves only the diagonal or the antidiagonal of M
+    theta = np.pi - eps if flipped else eps
+    _assert_exact_solve(strategy_unitary(StrategyParams(theta, beta1, beta2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_phases, y=_phases, anti=st.booleans())
+def test_closed_form_solve_on_pure_phase_matrices(x, y, anti):
+    target = np.diag([np.exp(1j * x), np.exp(1j * y)])
+    _assert_exact_solve(target[::-1] if anti else target)
+
+
+@pytest.mark.parametrize("params", [STRATEGY_I, STRATEGY_II], ids=["I", "II"])
+def test_closed_form_solve_on_named_strategies(params):
+    _assert_exact_solve(strategy_unitary(params))
+
+
+def test_solve_waveplate_angles_raises_below_rounding():
+    with pytest.raises(RuntimeError, match="misses the unitary"):
+        solve_waveplate_angles(strategy_unitary(STRATEGY_I), tol=1e-20)
 
 
 def test_solve_waveplate_angles_rejects_non_unitary():
