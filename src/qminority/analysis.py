@@ -234,6 +234,16 @@ def load_counts(source) -> CountsTable:
     return CountsTable(counts=counts, efficiencies=eff, **meta)
 
 
+def _one_line_comments(kind: str, comments: tuple[str, ...]) -> tuple[str, ...]:
+    """The comments, checked to be one line each: each is written as one
+    '# ' line, and a line break inside it would start a line that the loader
+    does not read as a comment."""
+    for c in comments:
+        if "".join(c.splitlines()) != c:
+            raise ValueError(f"{kind} file comment must be one line, got {c!r}")
+    return comments
+
+
 def format_counts(table: CountsTable, comments: tuple[str, ...] = ()) -> str:
     """Render a counts file: comment block, meta line, efficiency lines,
     'outcome,count' header, then the 16 rows in outcome order.
@@ -242,9 +252,7 @@ def format_counts(table: CountsTable, comments: tuple[str, ...] = ()) -> str:
     a comment: one spanning several lines, or one starting with 'meta' or
     'efficiency' (after stripping), which it parses as a directive.
     """
-    for c in comments:
-        if "".join(c.splitlines()) != c:
-            raise ValueError(f"counts file comment must be one line, got {c!r}")
+    for c in _one_line_comments("counts", comments):
         if c.strip().startswith(("meta", "efficiency")):
             raise ValueError(f"counts file comment must not start with 'meta' or 'efficiency', got {c!r}")
     lines = [f"# {c}" for c in comments]
@@ -430,7 +438,9 @@ def load_fit_points(source) -> list[FitPoint]:
 
 
 def save_fit_points(points, path, comments: tuple[str, ...] = ()) -> None:
-    lines = [f"# {c}" for c in comments]
+    """Write a fit-points table; raises ValueError, writing nothing, for a
+    comment that spans several lines."""
+    lines = [f"# {c}" for c in _one_line_comments("fit-points", comments)]
     lines.append("alpha,strategy,basis,payoff,error")
     for p in points:
         lines.append(f"{float(p.alpha)!r},{p.strategy},{p.basis},{float(p.payoff)!r},{float(p.error)!r}")

@@ -16,10 +16,14 @@ f * pure + (1 - f) * uniform on pure-state results, and one batched kernel
 evaluates moments and payoff over whole (theta, beta) grids.
 
 Equilibrium search: stationary points of the deviation payoff are located on
-a (theta, beta) grid via central differences, polished, and each candidate
-is certified by deviation_gain <= gain_tol.  On this state family the payoff
-is exactly pi/2-periodic in beta and invariant under beta -> -beta, so scans
-cover beta in [-pi/4, pi/4) and report beta >= 0.
+a (theta, beta) grid via central differences, polished all at once by Newton
+on the exact stationarity gradient divided by sin(theta), and each candidate
+is certified by deviation_gain <= gain_tol.  The optimum search polishes the
+grid maximum once with Nelder-Mead and reports its canonical image under the
+exact theta <-> pi - theta and beta <-> -beta symmetries.  On this state
+family the payoff is exactly pi/2-periodic in beta and invariant under
+beta -> -beta, so scans cover beta in [-pi/4, pi/4) and report beta >= 0.
+Only find_symmetric_po loads scipy.
 """
 
 from __future__ import annotations
@@ -222,7 +226,7 @@ _BETA_WINDOW = np.pi / 4.0
 
 def _stationarity_residual(moments, theta, beta, h: float = 1e-6):
     """Central-difference gradient norm of the phase-balanced deviation
-    payoff at (theta, beta); broadcasts over arrays."""
+    payoff at (theta, beta); broadcasts over arrays.  Ranks the grid seeds."""
     dth = (
         _deviation_payoff(moments, theta + h, beta, -beta)
         - _deviation_payoff(moments, theta - h, beta, -beta)
@@ -232,6 +236,59 @@ def _stationarity_residual(moments, theta, beta, h: float = 1e-6):
         - _deviation_payoff(moments, theta, beta - h, -beta + h)
     ) / (2.0 * h)
     return np.hypot(dth, dbe)
+
+
+def _stationarity_gradient(moments, theta, beta):
+    """Exact gradient (d/dtheta', d/dbeta') of the phase-balanced deviation
+    payoff at theta' = theta, beta' = beta; broadcasts over arrays.
+
+    With w = e^{-2i beta} zc it is (-(sin(theta)/2)(p1 - p2) + cos(theta) Re w,
+    2 sin(theta) Im w).
+    """
+    p1, p2, zc = moments
+    w = np.exp(-2j * beta) * zc
+    return -0.5 * np.sin(theta) * (p1 - p2) + np.cos(theta) * w.real, 2.0 * np.sin(theta) * w.imag
+
+
+_NEWTON_H = 1e-6
+_NEWTON_OFFSETS = np.array([(0.0, 0.0), (_NEWTON_H, 0.0), (-_NEWTON_H, 0.0),
+                            (0.0, _NEWTON_H), (0.0, -_NEWTON_H)])
+_NEWTON_MAX_STEPS = 60
+_NEWTON_STOP = 1e-14
+
+
+def _newton_polish(psi: np.ndarray, f: float, thetas: np.ndarray, betas: np.ndarray):
+    """Newton iteration for zeros of the stationarity gradient divided by
+    sin(theta), all points at once; returns the polished (thetas, betas).
+
+    The theta = 0 and pi lines are stationary for every beta, so the plain
+    gradient has roots there that attract Newton away from interior
+    equilibria; dividing by sin(theta) removes them.  Each step evaluates
+    the point and its four central-difference neighbours (h = 1e-6) in one
+    kernel call, solves the 2x2 system in closed form and clips to the search
+    box.  A non-finite step (singular Jacobian, or sin(theta) = 0) leaves the
+    point where it is.  Stops once no point moves by 1e-14, or after 60 steps.
+    """
+    th, be = np.array(thetas, dtype=float), np.array(betas, dtype=float)
+    for _ in range(_NEWTON_MAX_STEPS):
+        th5 = th + _NEWTON_OFFSETS[:, :1]
+        be5 = be + _NEWTON_OFFSETS[:, 1:]
+        gt, gb = _stationarity_gradient(_symmetric_kernel(psi, f, th5, be5)[0], th5, be5)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gt, gb = gt / np.sin(th5), gb / np.sin(th5)
+            a, b = (gt[1] - gt[2]) / (2.0 * _NEWTON_H), (gt[3] - gt[4]) / (2.0 * _NEWTON_H)
+            c, d = (gb[1] - gb[2]) / (2.0 * _NEWTON_H), (gb[3] - gb[4]) / (2.0 * _NEWTON_H)
+            det = a * d - b * c
+            dth = (b * gb[0] - d * gt[0]) / det
+            dbe = (c * gt[0] - a * gb[0]) / det
+        finite = np.isfinite(dth) & np.isfinite(dbe)
+        new_th = np.where(finite, np.clip(th + dth, 0.0, np.pi), th)
+        new_be = np.where(finite, np.clip(be + dbe, -_BETA_WINDOW, _BETA_WINDOW), be)
+        moved = np.maximum(np.abs(new_th - th), np.abs(new_be - be))
+        th, be = new_th, new_be
+        if not np.any(moved >= _NEWTON_STOP):
+            break
+    return th, be
 
 
 def _canonicalize(theta: float, beta: float) -> tuple[float, float]:
@@ -262,9 +319,12 @@ def find_symmetric_ne(
 ) -> list[EquilibriumReport]:
     """All certified symmetric equilibria, canonical representatives only.
 
-    Batched grid scan of the deviation-payoff stationarity residual,
-    Nelder-Mead polish of the local minima, then certification of each
-    deduplicated candidate by the exact deviation_gain <= gain_tol.  Sorted
+    Batched grid scan of the deviation-payoff stationarity residual, then a
+    batched Newton polish of its interior local minima on the exact gradient
+    divided by sin(theta) (see _newton_polish).  The boundary seeds (0, 0)
+    and (pi, 0) are taken as they are.  A polished point is kept when its
+    exact gradient norm is at most sqrt(refine_tol), and each deduplicated
+    candidate is certified by the exact deviation_gain <= gain_tol.  Sorted
     by (theta, beta).  deviation_grid is validated (None or >= 2) but no
     longer changes the result, as deviation_gain is a closed form.  At f = 0
     every symmetric point is an equilibrium; the list then holds up to 32
@@ -282,44 +342,36 @@ def find_symmetric_ne(
     moments, _ = _symmetric_kernel(psi, f, th_mesh, be_mesh)
     resid = _stationarity_residual(moments, th_mesh, be_mesh)
 
-    # the theta = 0 and theta = pi rows are stationary for every beta on this
-    # family (the deviator's cross moment vanishes there), so enumerate them
-    # once via their canonical representatives instead of letting the flat
-    # zero-residual lines crowd out isolated interior minima
-    seeds: list[tuple[float, float]] = [(0.0, 0.0), (float(np.pi), 0.0)]
+    # interior local minima of the residual over their (edge-clipped) 3x3
+    # window, best first, at least 3 grid steps apart, at most 30
+    padded = np.pad(resid, 1, constant_values=np.inf)
+    window_min = np.min(
+        [padded[di : di + resid.shape[0], dj : dj + resid.shape[1]] for di in range(3) for dj in range(3)],
+        axis=0,
+    )
+    minimum = (resid <= window_min + 1e-15) & (resid <= 0.05)
+    minimum[[0, -1]] = False
     order = np.argsort(resid, axis=None)
     taken: list[tuple[int, int]] = []
-    for flat in order:
+    for flat in order[minimum.ravel()[order]]:
         i, j = np.unravel_index(flat, resid.shape)
-        if i == 0 or i == resid.shape[0] - 1:
-            continue
-        window = resid[max(0, i - 1) : i + 2, max(0, j - 1) : j + 2]
-        if resid[i, j] > window.min() + 1e-15 or resid[i, j] > 0.05:
-            continue
         if all(max(abs(i - a), abs(j - b)) >= 3 for a, b in taken):
             taken.append((int(i), int(j)))
-            seeds.append((float(th_mesh[i, j]), float(be_mesh[i, j])))
-        if len(seeds) >= 32:
-            break
+            if len(taken) >= 30:
+                break
 
-    def residual_at(x):
-        th, be = float(x[0]), float(x[1])
-        return float(_stationarity_residual(_symmetric_kernel(psi, f, th, be)[0], th, be))
-
-    from scipy import optimize  # lazy: only the two searches pay its import
-
+    rows, cols = np.array(taken, dtype=int).reshape(-1, 2).T
+    th, be = _newton_polish(psi, f, th_mesh[rows, cols], be_mesh[rows, cols])
+    gt, gb = _stationarity_gradient(_symmetric_kernel(psi, f, th, be)[0], th, be)
+    converged = np.hypot(gt, gb) <= np.sqrt(refine_tol)
+    # the theta = 0 and theta = pi rows are stationary for every beta on this
+    # family (the deviator's cross moment vanishes there), so they enter once,
+    # via their canonical representatives, instead of letting the flat
+    # zero-residual lines crowd out isolated interior minima
+    boundary = [(0.0, 0.0), (float(np.pi), 0.0)]
     candidates: list[tuple[float, float]] = []
-    for seed in seeds:
-        res = optimize.minimize(
-            residual_at,
-            x0=np.array(seed),
-            method="Nelder-Mead",
-            bounds=[(0.0, np.pi), (-_BETA_WINDOW, _BETA_WINDOW)],
-            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 800},
-        )
-        if res.fun > np.sqrt(refine_tol):
-            continue
-        cand = _canonicalize(*res.x)
+    for point in boundary + list(zip(th[converged], be[converged])):
+        cand = _canonicalize(*point)
         if all(max(abs(cand[0] - a), abs(cand[1] - b)) > 1e-4 for a, b in candidates):
             candidates.append(cand)
 
@@ -352,9 +404,10 @@ def find_symmetric_po(
     """Global maximizer of the symmetric payoff over (theta, beta).
 
     Batched grid scan of the pure-state payoff (noise only rescales it) plus
-    Nelder-Mead polish.  Degenerate maximizers (the exact theta <-> pi - theta
-    and beta <-> -beta symmetries of this family) are resolved to the
-    representative with smallest theta, then beta >= 0.
+    one Nelder-Mead polish of the grid maximum.  The payoff is exactly
+    invariant under theta <-> pi - theta and beta <-> -beta, so the polished
+    point is reported as its canonical image (min(theta, pi - theta), |beta|).
+    refine_tol is validated but does not change the result.
     """
     alpha, f = _check_unit("alpha", alpha), _check_unit("f", f)
     if grid < 8:
@@ -366,23 +419,15 @@ def find_symmetric_po(
     _, vals = _symmetric_kernel(psi, 1.0, th_mesh, be_mesh)
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
 
-    from scipy import optimize  # lazy: only the two searches pay its import
+    from scipy import optimize  # lazy: only find_symmetric_po pays its import
 
-    def polish(x0) -> tuple[float, float, float]:
-        res = optimize.minimize(
-            lambda x: -float(_symmetric_kernel(psi, 1.0, x[0], x[1])[1]),
-            x0=np.asarray(x0, dtype=float),
-            method="Nelder-Mead",
-            bounds=[(0.0, np.pi), (-_BETA_WINDOW, _BETA_WINDOW)],
-            options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 1200},
-        )
-        return float(-res.fun), float(res.x[0]), float(res.x[1])
-
-    _, th, be = polish((th_mesh[i, j], be_mesh[i, j]))
-    images = {(th, be), (np.pi - th, be), (th, -be), (np.pi - th, -be)}
-    polished = [polish(x0) for x0 in sorted(images)]
-    top = max(v for v, _, _ in polished)
-    winners = [(t, b) for v, t, b in polished if v >= top - 10.0 * refine_tol]
-    th, be = min(winners, key=lambda x: (round(x[0], 9), round(-x[1], 9)))
-    point = SymmetricPoint(float(np.clip(th, 0.0, np.pi)), float(be))
+    res = optimize.minimize(
+        lambda x: -float(_symmetric_kernel(psi, 1.0, x[0], x[1])[1]),
+        x0=np.array([th_mesh[i, j], be_mesh[i, j]]),
+        method="Nelder-Mead",
+        bounds=[(0.0, np.pi), (-_BETA_WINDOW, _BETA_WINDOW)],
+        options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 1200},
+    )
+    th = float(np.clip(res.x[0], 0.0, np.pi))
+    point = SymmetricPoint(min(th, np.pi - th), abs(float(res.x[1])))
     return point, symmetric_payoff(alpha, f, point)

@@ -260,6 +260,14 @@ def test_fit_points_file_round_trip(tmp_path):
     assert back == pts
 
 
+@pytest.mark.parametrize("comment", _MULTILINE_COMMENTS)
+def test_save_fit_points_refuses_multiline_comments(tmp_path, comment):
+    path = tmp_path / "points.csv"
+    with pytest.raises(ValueError, match="comment"):
+        save_fit_points([FitPoint(0.3, "I", "Z", 0.101, 0.004)], path, comments=("fine", comment))
+    assert not path.exists()
+
+
 def test_model_payoff_agrees_with_engine():
     for point in (FitPoint(0.4, "I", "Z", 0.1, 0.01), FitPoint(0.8, "II", "X", 0.1, 0.01)):
         for f in (0.0, 0.5, 1.0):

@@ -268,6 +268,10 @@ def test_commands_without_a_search_never_load_scipy(args):
     assert scipy_modules_loaded(*args) == "[]"
 
 
+def test_find_ne_never_loads_scipy():
+    assert scipy_modules_loaded("find-ne", "--alpha", "0.3", "--f", "1") == "[]"
+
+
 def test_find_po_loads_scipy_optimize():
     assert "'scipy.optimize'" in scipy_modules_loaded("find-po", "--alpha", "0.5", "--f", "1")
 

@@ -190,6 +190,19 @@ def test_find_symmetric_ne_small_alpha():
     assert abs(twin.payoff - ne_payoff(0.3)) < 1e-6
 
 
+# the theta = 0 and pi lines are stationary for every beta, and just above
+# alpha = 0.0125 the interior equilibria sit close to them
+MIRROR_ALPHAS = [*np.linspace(0.015, 0.80, 158), 0.0125, 0.021, 0.0215, 0.022, 0.022040949016119478]
+
+
+@pytest.mark.parametrize("alpha", [float(a) for a in MIRROR_ALPHAS])
+def test_find_symmetric_ne_certifies_both_mirror_images(alpha):
+    points = [(r.point.theta, r.point.beta) for r in find_symmetric_ne(alpha)]
+    want = ne_theta(alpha)
+    for theta in (want, np.pi - want):
+        assert min((max(abs(t - theta), abs(b)) for t, b in points), default=np.inf) < 1e-9
+
+
 def test_find_symmetric_ne_alpha_zero():
     reports = find_symmetric_ne(0.0)
     thetas = sorted(r.point.theta for r in reports)
@@ -260,6 +273,16 @@ def test_find_symmetric_po_examples():
     assert abs(payoff - (1 / 8 + 10 / 176)) < 1e-6
     assert abs(point.theta - np.pi / 4) < 1e-3
     assert abs(point.beta) < 1e-3
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2, np.sqrt(2 / 11), 0.6, 0.75, 0.9, 1.0])
+@pytest.mark.parametrize("f", [1.0, 0.8])
+def test_find_symmetric_po_returns_the_canonical_image(alpha, f):
+    point, payoff = find_symmetric_po(alpha, f)
+    assert 0.0 <= point.theta <= np.pi / 2 and point.beta >= 0.0
+    for theta in (point.theta, np.pi - point.theta):
+        for beta in (point.beta, -point.beta):
+            assert payoff >= symmetric_payoff(alpha, f, SymmetricPoint(theta, beta)) - 1e-12
 
 
 def test_find_symmetric_po_continuous_at_crossing():
