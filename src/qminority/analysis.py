@@ -70,8 +70,8 @@ def _validated_efficiencies(eff) -> np.ndarray:
     arr = np.array(eff, dtype=float)
     if arr.shape != (4, 2):
         raise ValueError(f"efficiencies must have shape (4, 2), got {arr.shape}")
-    if not np.all(arr > 0):
-        raise ValueError("efficiencies must be positive")
+    if not np.all((arr > 0) & np.isfinite(arr)):
+        raise ValueError("efficiencies must be finite and positive")
     return arr
 
 
@@ -166,8 +166,9 @@ def load_counts(source) -> CountsTable:
                 except ValueError as exc:
                     problems.append(f"line {ln}: {exc}")
                     continue
-                if value <= 0:
-                    problems.append(f"line {ln}: efficiency must be positive, got {value}")
+                if not 0 < value < np.inf:
+                    problems.append(
+                        f"line {ln}: efficiency must be finite and positive, got {value}")
                     continue
                 if parts[1] in eff_seen:
                     problems.append(f"line {ln}: duplicate efficiency for detector {parts[1]}")
@@ -358,6 +359,8 @@ def simulate_counts(
     total_events = int(total_events)
     if total_events <= 0:
         raise ValueError(f"total_events must be positive, got {total_events}")
+    if total_events > _MAX_COUNT:
+        raise ValueError(f"total_events must be at most {_MAX_COUNT}, got {total_events}")
     eff = np.ones((4, 2)) if efficiencies is None else _validated_efficiencies(efficiencies)
     basis = MeasurementBasis(basis)
     p = game.outcome_distribution(noisy_state(alpha, f), profile, basis)

