@@ -111,7 +111,7 @@ class CountsTable:
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        return sum(self.counts.tolist())  # Python ints: an int64 sum can wrap
 
 
 def _efficiency_products(eff: np.ndarray) -> np.ndarray:

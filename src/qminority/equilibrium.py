@@ -10,18 +10,22 @@ Against fixed opponents her Z-basis payoff is c^2 p1 + s^2 p2 +
 sin(theta') Re(e^{i(beta2' - beta1')} zc), c, s = cos, sin(theta'/2), where
 the corner moments (p1, p2, zc) come from the amplitudes of |1110>, |1111>,
 |0000>, |0001> after the other three have played.  Certification is its
-exact maximum, a closed form.  Every observable is linear in the state and
-local unitaries leave white noise unchanged, so noise is the affine map
-f * pure + (1 - f) * uniform on pure-state results, and one batched kernel
-evaluates moments and payoff over whole (theta, beta) grids.
+exact maximum, a closed form, and the symmetric payoff is its value at
+theta' = theta, beta1' = -beta2' = beta.  Each corner amplitude is a cubic
+in the entries of M(theta, beta, -beta), so one batched kernel evaluates the
+moments over whole (theta, beta) grids.  Every observable is linear in the
+state and local unitaries leave white noise unchanged, so noise is the
+affine map f * pure + (1 - f) * uniform on pure-state results.
 
 Equilibrium search: stationary points of the deviation payoff are seeded
 from a (theta, beta) grid ranked by the norm of its exact gradient, polished
 all at once by Newton on that gradient divided by sin(theta), and each
 candidate is certified by deviation_gain <= gain_tol.  The optimum search
-polishes the grid maximum once with Nelder-Mead and reports its canonical
-image under the exact theta <-> pi - theta and beta <-> -beta symmetries.  On this state
-family the payoff is exactly pi/2-periodic in beta and invariant under
+polishes the grid maximum of the symmetric payoff once with Nelder-Mead and
+reports its canonical image under the exact theta <-> pi - theta and
+beta <-> -beta symmetries.  Both searches refuse f = 0, where every
+symmetric point is an equilibrium with payoff 1/8.  On this state family
+the payoff is exactly pi/2-periodic in beta and invariant under
 beta -> -beta, so scans cover beta in [-pi/4, pi/4) and report beta >= 0.
 Only find_symmetric_po loads scipy.
 """
@@ -35,7 +39,7 @@ import numpy as np
 from .defaults import ALGEBRA_TOL, GRID, NE_GAIN_TOL, OPT_TOL
 from . import game
 from .states import _check_unit, family_state, noisy_state
-from .strategies import StrategyParams, _unitaries
+from .strategies import StrategyParams
 
 __all__ = [
     "SymmetricPoint",
@@ -84,11 +88,12 @@ def symmetric_payoff(alpha: float, f: float, point: SymmetricPoint) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched kernel: corner moments and symmetric payoff
+# batched kernel: corner moments as a cubic in the strategy matrix entries
 
 _UNIFORM_MOMENTS = (1.0 / 8.0, 1.0 / 8.0, 0.0)  # (p1, p2, zc) of the uniform mixture
-_UNIFORM_PAYOFF = 1.0 / 8.0
-_PLAYER_MEAN = game.MINORITY_TABLE.mean(axis=1)
+_POWERS = np.arange(4)
+# row m selects the basis states of qubits 0-2 with m ones
+_BY_ONES = (np.array([bin(b).count("1") for b in range(8)]) == _POWERS[:, None]).astype(float)
 
 
 def _family_tensor(alpha: float) -> np.ndarray:
@@ -96,32 +101,28 @@ def _family_tensor(alpha: float) -> np.ndarray:
 
 
 def _symmetric_kernel(psi: np.ndarray, f: float, thetas, betas):
-    """Corner moments (p1, p2, zc) and the symmetric payoff at every
-    (theta, beta), returned as ((p1, p2, zc), payoff).
+    """Corner moments (p1, p2, zc) at every (theta, beta) after the three
+    non-deviating players have played M(theta, beta, -beta).
 
     psi is the pure family tensor, shape (2, 2, 2, 2); thetas and betas are
-    arrays of one shape, which every result takes.  The three non-deviating
-    players act one qubit at a time as batched 2x2 matrix products; the
-    fourth player's product then gives the symmetric payoff.
+    arrays of one shape, which every moment takes.  The corners need qubits
+    0-2 all 0 or all 1, so each corner amplitude is a cubic in the entries
+    of M: an input with m ones on those qubits reaches 000 with weight
+    M00^(3-m) M01^m and 111 with weight M10^(3-m) M11^m.  Summing psi by m
+    first leaves two (G x 4) @ (4 x 2) products per call.
     """
     thetas = np.asarray(thetas, dtype=float)
     betas = np.asarray(betas, dtype=float)
-    u = _unitaries(thetas.ravel(), betas.ravel(), -betas.ravel())  # (G, 2, 2)
-    phi = u @ psi.reshape(2, 8)  # qubit 0
-    phi = u[:, None] @ phi.reshape(-1, 2, 2, 4)  # qubit 1
-    phi = (u[:, None] @ phi.reshape(-1, 4, 2, 2)).reshape(-1, 16)  # qubit 2
-    prob = np.abs(phi) ** 2
-    p1 = prob[:, 0b1110] + prob[:, 0b0001]
-    p2 = prob[:, 0b1111] + prob[:, 0b0000]
-    g, h, p, q = phi[:, 0b1110], phi[:, 0b1111], phi[:, 0b0000], phi[:, 0b0001]
-    zc = 1j * np.conj(g) * h - 1j * np.conj(p) * q
-    final = phi.reshape(-1, 8, 2) @ np.swapaxes(u, 1, 2)  # qubit 3
-    payoff = np.abs(final.reshape(-1, 16)) ** 2 @ _PLAYER_MEAN
-    moments = tuple(
-        (f * x + (1.0 - f) * c).reshape(thetas.shape)
-        for x, c in zip((p1, p2, zc), _UNIFORM_MOMENTS)
-    )
-    return moments, (f * payoff + (1.0 - f) * _UNIFORM_PAYOFF).reshape(thetas.shape)
+    half = thetas[..., None] / 2.0
+    c, s = np.cos(half), 1j * np.sin(half)
+    e = np.exp(1j * betas[..., None])
+    sums = _BY_ONES @ psi.reshape(8, 2)  # (m, qubit 3)
+    p, q = np.moveaxis((c * e) ** (3 - _POWERS) * (s / e) ** _POWERS @ sums, -1, 0)
+    g, h = np.moveaxis((s * e) ** (3 - _POWERS) * (c / e) ** _POWERS @ sums, -1, 0)
+    p1 = np.abs(g) ** 2 + np.abs(q) ** 2
+    p2 = np.abs(h) ** 2 + np.abs(p) ** 2
+    zc = 1j * (np.conj(g) * h - np.conj(p) * q)
+    return tuple(f * x + (1.0 - f) * u for x, u in zip((p1, p2, zc), _UNIFORM_MOMENTS))
 
 
 def _deviation_payoff(moments, theta, beta1, beta2):
@@ -141,7 +142,7 @@ def deviation_gain(alpha: float, f: float, point: SymmetricPoint) -> tuple[float
     0.  No grid or tolerance enters the result.
     """
     alpha, f = _check_unit("alpha", alpha), _check_unit("f", f)
-    (p1, p2, zc), _ = _symmetric_kernel(_family_tensor(alpha), f, point.theta, point.beta)
+    p1, p2, zc = _symmetric_kernel(_family_tensor(alpha), f, point.theta, point.beta)
     p1, p2, zc = float(p1), float(p2), complex(zc)
     base = float(_deviation_payoff((p1, p2, zc), point.theta, point.beta, -point.beta))
     best = (p1 + p2) / 2.0 + float(np.hypot((p1 - p2) / 2.0, abs(zc)))
@@ -240,7 +241,7 @@ def _newton_polish(psi: np.ndarray, f: float, thetas: np.ndarray, betas: np.ndar
     for _ in range(_NEWTON_MAX_STEPS):
         th5 = th + _NEWTON_OFFSETS[:, :1]
         be5 = be + _NEWTON_OFFSETS[:, 1:]
-        gt, gb = _stationarity_gradient(_symmetric_kernel(psi, f, th5, be5)[0], th5, be5)
+        gt, gb = _stationarity_gradient(_symmetric_kernel(psi, f, th5, be5), th5, be5)
         with np.errstate(divide="ignore", invalid="ignore"):
             gt, gb = gt / np.sin(th5), gb / np.sin(th5)
             a, b = (gt[1] - gt[2]) / (2.0 * _NEWTON_H), (gt[3] - gt[4]) / (2.0 * _NEWTON_H)
@@ -307,7 +308,7 @@ def find_symmetric_ne(
     psi = _family_tensor(alpha)
 
     th_mesh, be_mesh = _search_grid(grid)
-    moments, _ = _symmetric_kernel(psi, f, th_mesh, be_mesh)
+    moments = _symmetric_kernel(psi, f, th_mesh, be_mesh)
     norm = np.hypot(*_stationarity_gradient(moments, th_mesh, be_mesh))
 
     # interior local minima of the gradient norm over their (edge-clipped)
@@ -330,7 +331,7 @@ def find_symmetric_ne(
 
     rows, cols = np.array(taken, dtype=int).reshape(-1, 2).T
     th, be = _newton_polish(psi, f, th_mesh[rows, cols], be_mesh[rows, cols])
-    gt, gb = _stationarity_gradient(_symmetric_kernel(psi, f, th, be)[0], th, be)
+    gt, gb = _stationarity_gradient(_symmetric_kernel(psi, f, th, be), th, be)
     converged = np.hypot(gt, gb) <= np.sqrt(refine_tol)
     # the theta = 0 and theta = pi rows are stationary for every beta on this
     # family (the deviator's cross moment vanishes there), so they enter once,
@@ -356,25 +357,33 @@ def find_symmetric_po(alpha: float, f: float = 1.0,
                       grid: int = GRID) -> tuple[SymmetricPoint, float]:
     """Global maximizer of the symmetric payoff over (theta, beta).
 
-    Batched (grid + 1) x grid scan of the pure-state payoff (noise only
-    rescales it) plus one Nelder-Mead polish of the grid maximum, whose
-    stopping tolerances are fixed.  The payoff is exactly invariant under
-    theta <-> pi - theta and beta <-> -beta, so the polished point is
-    reported as its canonical image (min(theta, pi - theta), |beta|).
+    The symmetric payoff is the deviator's payoff at the symmetric point
+    itself, so it is read from the pure-state corner moments (noise only
+    rescales it).  A batched (grid + 1) x grid scan gives the start of one
+    Nelder-Mead polish, whose stopping tolerances are fixed.  The payoff is
+    exactly invariant under theta <-> pi - theta and beta <-> -beta, so the
+    polished point is reported as its canonical image (min(theta, pi - theta),
+    |beta|).  At f = 0 the payoff is 1/8 everywhere and no point is singled
+    out, so ValueError is raised.
     """
     alpha, f = _check_unit("alpha", alpha), _check_unit("f", f)
+    if f == 0.0:
+        raise ValueError("at f = 0 every symmetric point has payoff 1/8; there is no optimum")
     if grid < 8:
         raise ValueError("grid resolution must be at least 8")
     psi = _family_tensor(alpha)
 
+    def pure_payoff(theta, beta):
+        return _deviation_payoff(_symmetric_kernel(psi, 1.0, theta, beta), theta, beta, -beta)
+
     th_mesh, be_mesh = _search_grid(grid)
-    _, vals = _symmetric_kernel(psi, 1.0, th_mesh, be_mesh)
+    vals = pure_payoff(th_mesh, be_mesh)
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
 
     from scipy import optimize  # lazy: only find_symmetric_po pays its import
 
     res = optimize.minimize(
-        lambda x: -float(_symmetric_kernel(psi, 1.0, x[0], x[1])[1]),
+        lambda x: -float(pure_payoff(x[0], x[1])),
         x0=np.array([th_mesh[i, j], be_mesh[i, j]]),
         method="Nelder-Mead",
         bounds=[(0.0, np.pi), (-_BETA_WINDOW, _BETA_WINDOW)],

@@ -61,6 +61,12 @@ def test_counts_table_validation():
         CountsTable(np.full(16, 1, dtype=np.int64), UNIT_EFF, alpha=1.5)
 
 
+def test_total_does_not_wrap_at_int64():
+    # each count fits in int64, but their sum does not
+    table = load_counts(io.StringIO(format_counts(uniform_table(count=2**62))))
+    assert table.total == 16 * 2**62
+
+
 def test_corrected_probabilities_uniform():
     p, var = corrected_probabilities(uniform_table())
     assert np.max(np.abs(p - 1 / 16)) < 1e-15

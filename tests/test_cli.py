@@ -163,6 +163,13 @@ def test_find_po_alpha_zero():
     assert abs(float(rows[0][2]) - 0.125) < 1e-6
 
 
+def test_find_po_fully_mixed_state_is_an_error():
+    r = run_cli("find-po", "--alpha", "0.5", "--f", "0")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert "every symmetric point has payoff 1/8" in r.stderr
+
+
 def test_deviation_command():
     r = run_cli("deviation", "--alpha", "1", "--f", "1",
                 "--theta", str(np.pi / 4), "--beta", "0")

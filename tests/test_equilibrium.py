@@ -271,6 +271,15 @@ def test_find_symmetric_po_examples():
     assert abs(point.beta) < 1e-3
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_find_symmetric_po_refuses_the_fully_mixed_state(alpha):
+    # at f = 0 the symmetric payoff is 1/8 everywhere, so no point is optimal
+    for point in (SymmetricPoint(0.0, 0.0), SymmetricPoint(1.1, 0.3), SymmetricPoint(np.pi / 2, np.pi / 8)):
+        assert abs(symmetric_payoff(alpha, 0.0, point) - 0.125) < 1e-12
+    with pytest.raises(ValueError, match="every symmetric point has payoff 1/8"):
+        find_symmetric_po(alpha, 0.0)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.2, np.sqrt(2 / 11), 0.6, 0.75, 0.9, 1.0])
 @pytest.mark.parametrize("f", [1.0, 0.8])
 def test_find_symmetric_po_returns_the_canonical_image(alpha, f):
@@ -333,16 +342,32 @@ def _deviator_payoff(alpha, f, point, deviation):
 @PROPERTY
 @given(alpha=unit, f=unit, theta=theta_st, beta=beta_st)
 def test_kernel_payoff_matches_expected_payoffs(alpha, f, theta, beta):
-    _, payoff = _symmetric_kernel(_family_tensor(alpha), f, theta, beta)
+    # every player's payoff, not only their mean, equals the payoff read
+    # from the corner moments at theta' = theta, beta1' = -beta2' = beta
+    moments = _symmetric_kernel(_family_tensor(alpha), f, theta, beta)
+    got = float(_deviation_payoff(moments, theta, beta, -beta))
     profile = symmetric_profile(SymmetricPoint(theta, beta))
-    want = float(np.mean(expected_payoffs(noisy_state(alpha, f), profile)))
-    assert abs(float(payoff) - want) < 1e-12
+    for want in expected_payoffs(noisy_state(alpha, f), profile):
+        assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(), (5, 30), (65, 64)])
+def test_kernel_moments_take_the_input_shape(shape):
+    rng = np.random.default_rng(7)
+    thetas = rng.uniform(0.0, np.pi, shape)
+    betas = rng.uniform(-np.pi / 4, np.pi / 4, shape)
+    moments = _symmetric_kernel(_family_tensor(0.6), 0.8, thetas, betas)
+    assert [np.shape(m) for m in moments] == [shape] * 3
+    for idx in [()] if shape == () else [(0, 0), (2, 7), (-1, -1)]:
+        probed = probe_moments(0.6, 0.8, SymmetricPoint(thetas[idx], betas[idx]))
+        for got, want in zip(moments, probed):
+            assert abs(complex(got[idx]) - want) < 1e-12
 
 
 @PROPERTY
 @given(alpha=unit, f=unit, theta=theta_st, beta=beta_st)
 def test_kernel_moments_match_four_probes(alpha, f, theta, beta):
-    moments, _ = _symmetric_kernel(_family_tensor(alpha), f, theta, beta)
+    moments = _symmetric_kernel(_family_tensor(alpha), f, theta, beta)
     probed = probe_moments(alpha, f, SymmetricPoint(theta, beta))
     for got, want in zip(moments, probed):
         assert abs(complex(got) - want) < 1e-12
@@ -383,7 +408,7 @@ inner_theta_st = st.floats(0.01, np.pi - 0.01)
 @given(alpha=unit, f=unit, theta=inner_theta_st, beta=beta_st)
 def test_stationarity_gradient_matches_central_differences(alpha, f, theta, beta):
     # the one gradient that both ranks the NE seeds and drives Newton
-    moments, _ = _symmetric_kernel(_family_tensor(alpha), f, theta, beta)
+    moments = _symmetric_kernel(_family_tensor(alpha), f, theta, beta)
     gt, gb = _stationarity_gradient(moments, theta, beta)
     h = 1e-6
     fd_t = (_deviation_payoff(moments, theta + h, beta, -beta)
@@ -397,7 +422,7 @@ def test_stationarity_gradient_matches_central_differences(alpha, f, theta, beta
 @PROPERTY
 @given(alpha=unit, theta=inner_theta_st, beta=beta_st)
 def test_stationarity_gradient_matches_closed_form_when_pure(alpha, theta, beta):
-    moments, _ = _symmetric_kernel(_family_tensor(alpha), 1.0, theta, beta)
+    moments = _symmetric_kernel(_family_tensor(alpha), 1.0, theta, beta)
     got = _stationarity_gradient(moments, theta, beta)
     want = payoff_gradient_closed(alpha, SymmetricPoint(theta, beta))
     assert abs(got[0] - want[0]) < 1e-12
